@@ -34,6 +34,7 @@ from .semantics import (
     TruthTable,
     assignments,
     evaluate,
+    first_row,
     is_contradiction,
     is_parallel,
     is_perpendicular,

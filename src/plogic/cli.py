@@ -9,7 +9,6 @@ precondition failure, 4 proof rejection.
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import sys
 from pathlib import Path as FsPath
@@ -26,10 +25,11 @@ from .errors import (
 )
 from .formula import Formula, Language, language_of, atoms_of, path_from_str, path_to_str
 from .parser import Dialect, parse, render
-from .semantics import (
-    ATOM_LIMIT,
-    evaluate,
+# assignments and evaluate stay bound for perfbench/spans.py, which wraps them
+from .semantics import (  # noqa: F401
     assignments,
+    evaluate,
+    first_row,
     is_parallel,
     is_perpendicular,
     table_labels,
@@ -50,15 +50,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_REJECTED = 4
-
-
-class OutputFormat(enum.Enum):
-    TEXT = "text"
-    JSON = "json"
-
-
-def _format(args) -> OutputFormat:
-    return OutputFormat.JSON if args.json else OutputFormat.TEXT
 
 
 _SEMANTIC_ERRORS = (
@@ -87,7 +78,7 @@ def _emit_json(payload: dict) -> None:
 
 def cmd_parse(args) -> int:
     f = _read_formula_arg(args.formula)
-    if _format(args) is OutputFormat.JSON:
+    if args.json:
         _emit_json(
             {
                 "formula": render(f, _dialect(args)),
@@ -100,33 +91,29 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _table_payload(f: Formula, dialect: Dialect) -> dict:
-    table = truth_table(f)
-    labels = table_labels(f, dialect)
-    return {
-        "formula": render(f, dialect),
-        "atoms": table.atom_order,
-        "rows": table.rows,
-        "columns": [
-            {
-                "path": path_to_str(col.path),
-                "label": label,
-                "values": col.values,
-            }
-            for col, label in zip(table.columns, labels)
-        ],
-        "final_index": table.final_index,
-        "final": table.columns[table.final_index].values,
-    }
-
-
 def cmd_table(args) -> int:
     f = _read_formula_arg(args.formula)
-    if _format(args) is OutputFormat.JSON:
-        _emit_json(_table_payload(f, _dialect(args)))
-        return EXIT_OK
     table = truth_table(f)
     labels = table_labels(f, _dialect(args))
+    if args.json:
+        _emit_json(
+            {
+                "formula": render(f, _dialect(args)),
+                "atoms": table.atom_order,
+                "rows": table.rows,
+                "columns": [
+                    {
+                        "path": path_to_str(col.path),
+                        "label": label,
+                        "values": col.values,
+                    }
+                    for col, label in zip(table.columns, labels)
+                ],
+                "final_index": table.final_index,
+                "final": table.columns[table.final_index].values,
+            }
+        )
+        return EXIT_OK
     labels = [
         f"[{label}]" if i == table.final_index else label
         for i, label in enumerate(labels)
@@ -150,18 +137,8 @@ def cmd_table(args) -> int:
 
 def cmd_check(args) -> int:
     f = _read_formula_arg(args.formula)
-    atoms = atoms_of(f)
-    if len(atoms) > ATOM_LIMIT:
-        raise TooManyAtoms(len(atoms), ATOM_LIMIT)
-    true_row = None
-    false_row = None
-    for row in assignments(atoms):
-        if evaluate(f, row) == 1:
-            true_row = true_row or row
-        else:
-            false_row = false_row or row
-        if true_row and false_row:
-            break
+    true_row = first_row(f, 1)
+    false_row = first_row(f, 0)
     if false_row is None:
         verdict, witnesses = "TAUTOLOGY", {}
     elif true_row is None:
@@ -169,7 +146,7 @@ def cmd_check(args) -> int:
     else:
         verdict = "CONTINGENT"
         witnesses = {"true_at": true_row, "false_at": false_row}
-    if _format(args) is OutputFormat.JSON:
+    if args.json:
         _emit_json({"formula": render(f, _dialect(args)), "verdict": verdict, **witnesses})
     else:
         print(verdict)
@@ -196,7 +173,7 @@ def cmd_relate(args) -> int:
         payload["parallel_witness"] = par.witness
     if perp.witness is not None:
         payload["perpendicular_witness"] = perp.witness
-    if _format(args) is OutputFormat.JSON:
+    if args.json:
         _emit_json(payload)
     else:
         print(f"parallel: {str(par.holds).lower()}")
@@ -237,7 +214,7 @@ def cmd_transform(args) -> int:
         result = psi_invert(f)
     else:
         result = desugar(f)
-    if _format(args) is OutputFormat.JSON:
+    if args.json:
         payload = {"rule": args.rule, "formula": render(result, _dialect(args))}
         if trace_out is not None:
             payload["trace"] = trace_out
@@ -248,9 +225,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    as_json = _format(args) is OutputFormat.JSON
-    serialize = proof_to_json if as_json else proof_to_text
-    suffix = ".json" if as_json else ".prf"
+    serialize = proof_to_json if args.json else proof_to_text
+    suffix = ".json" if args.json else ".prf"
     if args.main_results:
         outdir = FsPath(args.dir or ".")
         outdir.mkdir(parents=True, exist_ok=True)

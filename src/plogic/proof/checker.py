@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..defs import DEFINED_OPS, definiens, match_definiens
 from ..errors import MissingMetavariable, PathError
 from ..formula import Bin, Formula, Not, Operator, path_to_str, replace_at, subformula_at
-from .axioms import axiom_instance
-from .defs import definiens, match_definiens
+from .axioms import SCHEMA_METAVARS, axiom_instance
 from .objects import AxiomJust, DefJust, Direction, MPJust, Proof
 
 NOT_AN_AXIOM_INSTANCE = "NotAnAxiomInstance"
@@ -62,10 +62,17 @@ def check_proof(proof: Proof) -> CheckResult:
             )
         just = line.just
         if isinstance(just, AxiomJust):
+            subst = just.subst_map()
             try:
-                expected = axiom_instance(just.schema, just.subst_map())
+                expected = axiom_instance(just.schema, subst)
             except (ValueError, MissingMetavariable) as exc:
                 return CheckResult(False, k, NOT_AN_AXIOM_INSTANCE, str(exc))
+            metavars = SCHEMA_METAVARS[just.schema]
+            if len(subst) > len(metavars):
+                return CheckResult(
+                    False, k, NOT_AN_AXIOM_INSTANCE,
+                    f"AX{just.schema} has only the metavariables {', '.join(metavars)}",
+                )
             if expected != line.formula:
                 return CheckResult(
                     False, k, NOT_AN_AXIOM_INSTANCE,
@@ -98,6 +105,10 @@ def check_proof(proof: Proof) -> CheckResult:
             if k == 1:
                 return CheckResult(
                     False, k, DEF_MISMATCH, "no preceding line to rewrite"
+                )
+            if just.name not in DEFINED_OPS:
+                return CheckResult(
+                    False, k, DEF_MISMATCH, f"{just.name.value} is primitive, not defined"
                 )
             source = lines[k - 2].formula
             try:

@@ -22,6 +22,7 @@ never re-derived.
 
 from __future__ import annotations
 
+from ..defs import definiens, match_definiens
 from ..errors import NotATautology, ProofTooLarge, TooManyAtoms
 from ..formula import (
     Atom,
@@ -35,9 +36,9 @@ from ..formula import (
     replace_at,
     subformula_at,
 )
-from ..semantics import assignments, evaluate
+# assignments stays bound for perfbench/spans.py, which wraps it
+from ..semantics import assignments, evaluate, first_row  # noqa: F401
 from .axioms import axiom_instance
-from .defs import definiens, match_definiens
 from .objects import (
     DefJust,
     Direction,
@@ -556,9 +557,9 @@ def prove_tautology(f: Formula, max_lines: int = MAX_PROOF_LINES) -> Proof:
     names = atoms_of(f)
     if len(names) > GENERATOR_ATOM_LIMIT:
         raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
-    for row in assignments(names):
-        if evaluate(f, row) != 1:
-            raise NotATautology(row)
+    row = first_row(f, 0)
+    if row is not None:
+        raise NotATautology(row)
     f0, steps = _unfold_plan(f)
     b = _Builder(max_lines)
     idx = _prove_primitive(b, f0, names)

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .defs import definiens
 from .errors import NotUpdownRoot, NotXorRoot
 from .formula import (
     Bin,
     Formula,
     Not,
+    OpClass,
     Operator,
     Path,
     Step,
@@ -94,15 +96,6 @@ def psi_invert(f: Formula) -> Formula:
     return Bin(Operator.XOR, f.left, f.right)
 
 
-_DESUGAR = {
-    Operator.NOR: lambda a, b: Not(Bin(Operator.OR, a, b)),
-    Operator.NAND: lambda a, b: Not(Bin(Operator.AND, a, b)),
-    Operator.NIMP: lambda a, b: Not(Bin(Operator.IMP, a, b)),
-    Operator.XOR: lambda a, b: Not(Bin(Operator.IFF, a, b)),
-    Operator.UPDOWN: lambda a, b: Bin(Operator.IFF, a, b),
-}
-
-
 def desugar(f: Formula) -> Formula:
     """Rewrite every negated-family connective into fundamental form."""
     if isinstance(f, Not):
@@ -110,8 +103,7 @@ def desugar(f: Formula) -> Formula:
     if isinstance(f, Bin):
         left = desugar(f.left)
         right = desugar(f.right)
-        build = _DESUGAR.get(f.op)
-        if build is not None:
-            return build(left, right)
+        if f.op.op_class is OpClass.NFO:
+            return definiens(f.op, left, right)
         return Bin(f.op, left, right)
     return f

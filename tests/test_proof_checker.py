@@ -1,6 +1,6 @@
 import pytest
 
-from plogic import Atom, Bin, Not, Operator, evaluate, parse
+from plogic import Atom, Bin, Not, Operator, Step, evaluate, parse
 from plogic.errors import MissingMetavariable
 from plogic.proof import (
     DEFINED_OPS,
@@ -182,6 +182,26 @@ class TestChecker:
         result = check_proof(proof)
         assert not result.accepted
         assert (result.line, result.reason) == (1, checker.NOT_AN_AXIOM_INSTANCE)
+
+    def test_rejects_unused_metavariables(self):
+        proof = Proof(
+            goal=parse("(p or p) imp p"),
+            lines=[_line(1, "(p or p) imp p", _ax(1, A="p", Z="q"))],
+        )
+        result = check_proof(proof)
+        assert (result.line, result.reason) == (1, checker.NOT_AN_AXIOM_INSTANCE)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_rejects_def_steps_on_primitive_connectives(self, direction):
+        proof = Proof(
+            goal=parse("!p or (p or p)"),
+            lines=[
+                _line(1, "p imp (p or p)", _ax(2, A="p", B="p")),
+                _line(2, "!p or (p or p)", DefJust(Operator.OR, (Step.RIGHT,), direction)),
+            ],
+        )
+        result = check_proof(proof)
+        assert (result.line, result.reason) == (2, checker.DEF_MISMATCH)
 
     def test_rejects_mp_with_non_implication_major(self):
         proof = Proof(

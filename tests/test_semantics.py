@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,12 +18,15 @@ from plogic import (
     is_tautology,
     op_value,
     parse,
+    render,
     truth_table,
 )
+from plogic.cli import main as cli_main
 from plogic.errors import MissingAtom, TooManyAtoms
-from plogic.semantics import TRUTH, assignments
+from plogic.formula import subformula_at
+from plogic.semantics import TRUTH, assignments, first_row
 
-from oracle import TABLES, oracle_eval, random_formula
+from oracle import TABLES, oracle_assignments, oracle_eval, random_formula
 from goldens import A_TEXTS, B_TEXTS, load_golden
 from test_formula import formulas
 
@@ -195,3 +201,120 @@ class TestRelations:
             perp = is_perpendicular(a, b).holds
             assert perp == is_parallel(a, Not(b)).holds
             assert perp == is_parallel(Not(a), b).holds
+
+
+# --- tables larger than one scan block (4,096 rows) -------------------------
+
+
+def _names(n):
+    return [f"a{i}" for i in range(n)]
+
+
+def _oracle_row(names, index):
+    return next(itertools.islice(oracle_assignments(names), index, None))
+
+
+def _oracle_first(names, holds):
+    """First row in table order, by the oracle, where ``holds(env)``."""
+    return next((env for env in oracle_assignments(names) if holds(env)), None)
+
+
+def _only_row(names, row):
+    """A conjunction of literals that is true on ``row`` alone."""
+    lits = [Atom(n) if row[n] else Not(Atom(n)) for n in names]
+    f = lits[0]
+    for lit in lits[1:]:
+        f = Bin(Operator.AND, f, lit)
+    return f
+
+
+def _chain(names, op):
+    f = Atom(names[0])
+    for name in names[1:]:
+        f = Bin(op, f, Atom(name))
+    return f
+
+
+class TestMultiBlock:
+    # (atoms, index of the only true row): a later block, a block's first
+    # and last rows, and the all-zeros row that ends the table
+    CASES = [(13, 4096), (13, 2**13 - 1), (14, 9000), (15, 12287), (16, 40000)]
+
+    @pytest.mark.parametrize("n, index", CASES)
+    def test_first_row_in_a_later_block(self, n, index):
+        names = _names(n)
+        row = _oracle_row(names, index)
+        f = _only_row(names, row)
+        assert first_row(f, 1) == row == _oracle_first(names, lambda e: oracle_eval(f, e) == 1)
+        assert first_row(Not(f), 0) == row
+        assert first_row(f, 0) == _oracle_first(names, lambda e: oracle_eval(f, e) == 0)
+        assert not is_contradiction(f) and not is_tautology(f)
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_witness_on_the_all_zeros_row(self, n):
+        names = _names(n)
+        f = _chain(names, Operator.OR)
+        last = _oracle_first(names, lambda e: oracle_eval(f, e) == 0)
+        assert last == dict.fromkeys(names, 0)
+        assert first_row(f, 0) == last
+        assert not is_tautology(f)
+        assert is_tautology(Bin(Operator.OR, f, Not(Atom(names[-1]))))
+
+    @pytest.mark.parametrize("n, index", CASES)
+    def test_check_reports_the_oracle_witnesses(self, n, index, capsys):
+        names = _names(n)
+        f = _only_row(names, _oracle_row(names, index))
+        assert cli_main(["check", "--json", render(f)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "CONTINGENT"
+        assert out["true_at"] == _oracle_first(names, lambda e: oracle_eval(f, e) == 1)
+        assert out["false_at"] == _oracle_first(names, lambda e: oracle_eval(f, e) == 0)
+
+    @pytest.mark.parametrize("n, index", CASES)
+    def test_relations_find_the_oracle_witness(self, n, index):
+        names = _names(n)
+        a = _only_row(names, _oracle_row(names, index))
+        never = Bin(Operator.AND, Atom(names[0]), Not(Atom(names[0])))
+        always = Bin(Operator.NAND, Atom(names[0]), Not(Atom(names[0])))
+        verdict = is_parallel(a, never)
+        assert not verdict.holds
+        assert verdict.witness == _oracle_first(
+            names, lambda e: oracle_eval(a, e) != oracle_eval(never, e)
+        )
+        verdict = is_perpendicular(a, always)
+        assert not verdict.holds
+        assert verdict.witness == _oracle_first(
+            names, lambda e: oracle_eval(always, e) != 1 - oracle_eval(a, e)
+        )
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_relations_fail_on_the_all_zeros_row(self, n):
+        names = _names(n)
+        left = _chain(names, Operator.OR)
+        right = _chain(list(reversed(names)), Operator.OR)
+        assert is_parallel(left, right).holds
+        assert is_perpendicular(left, Not(right)).holds
+        verdict = is_parallel(left, Bin(Operator.OR, Atom(names[0]), Not(Atom(names[0]))))
+        assert verdict.witness == dict.fromkeys(names, 0)
+        verdict = is_perpendicular(left, Bin(Operator.AND, left, Not(left)))
+        assert verdict.witness == dict.fromkeys(names, 0)
+
+    def test_thirteen_atom_table_matches_the_oracle(self, rng):
+        names = _names(13)
+        ops = list(Operator)
+        f = Atom(names[0])
+        for i, name in enumerate(names[1:]):
+            f = Bin(ops[i % len(ops)], Not(f) if i % 4 == 3 else f, Atom(name))
+        tt = truth_table(f)
+        envs = list(oracle_assignments(names))
+        assert tt.atom_order == names
+        assert tt.rows == envs
+        final = tt.columns[tt.final_index]
+        assert final.values == [oracle_eval(f, env) for env in envs]
+        # every column on the rows around the block boundary, and a sample
+        sample = [0, 4095, 4096, 4097, 8191] + rng.sample(range(8192), 100)
+        for col in tt.columns:
+            assert len(col.values) == 8192
+            sub = subformula_at(f, col.path)
+            for i in sample:
+                assert col.values[i] == oracle_eval(sub, envs[i])
