@@ -64,11 +64,10 @@ def dual(op: Operator) -> Operator:
 
 # Words the concrete syntax reserves; atom names must avoid them so that
 # rendering and re-parsing a formula is the identity.
-RESERVED_WORDS = frozenset(
-    ["not", "or", "and", "imp", "iff", "nor", "nand", "nimp", "xor", "xiff"]
-)
+RESERVED_WORDS = frozenset(["not", *(op.value for op in Operator)])
 
-_ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+ATOM_PATTERN = "[A-Za-z][A-Za-z0-9]*"
+_ATOM_RE = re.compile(ATOM_PATTERN + r"\Z")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ grouped.  A single outermost pair of parentheses may be omitted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 
 from .errors import (
     AmbiguousChain,
@@ -20,7 +20,7 @@ from .errors import (
     UnexpectedToken,
     UnknownToken,
 )
-from .formula import Atom, Bin, Formula, Not, Operator
+from .formula import ATOM_PATTERN, RESERVED_WORDS, Atom, Bin, Formula, Not, Operator
 
 
 class Dialect(enum.Enum):
@@ -28,210 +28,156 @@ class Dialect(enum.Enum):
     ASCII = "ascii"
 
 
-_UNICODE_OPS = {
-    Operator.OR: "∨",
-    Operator.AND: "∧",
-    Operator.IMP: "→",
-    Operator.IFF: "↔",
-    Operator.NOR: "↓",
-    Operator.NAND: "↑",
-    Operator.NIMP: "←",
-    Operator.XOR: "⊕",
-    Operator.UPDOWN: "↕",
+# What render writes, per dialect; parse accepts both dialects.
+_OPS = {
+    Dialect.UNICODE: {
+        Operator.OR: "∨",
+        Operator.AND: "∧",
+        Operator.IMP: "→",
+        Operator.IFF: "↔",
+        Operator.NOR: "↓",
+        Operator.NAND: "↑",
+        Operator.NIMP: "←",
+        Operator.XOR: "⊕",
+        Operator.UPDOWN: "↕",
+    },
+    Dialect.ASCII: {op: op.value for op in Operator},
 }
-
-_ASCII_OPS = {op: op.value for op in Operator}
-
 _NEG = {Dialect.UNICODE: "¬", Dialect.ASCII: "!"}
+_INFIX = {d: {op: f" {s} " for op, s in ops.items()} for d, ops in _OPS.items()}
 
 
 def operator_symbol(op: Operator, dialect: Dialect) -> str:
-    if dialect is Dialect.UNICODE:
-        return _UNICODE_OPS[op]
-    return _ASCII_OPS[op]
+    return _OPS[dialect][op]
 
 
 def negation_symbol(dialect: Dialect) -> str:
     return _NEG[dialect]
 
-# Token kinds
-_LPAREN = "("
-_RPAREN = ")"
-_NOT = "not"
-_BINOP = "binop"
-_ATOM = "atom"
-_EOF = "eof"
 
-_SYMBOL_TOKENS = {
-    "¬": (_NOT, None),
-    "!": (_NOT, None),
-    "(": (_LPAREN, None),
-    ")": (_RPAREN, None),
-    "∨": (_BINOP, Operator.OR),
-    "∧": (_BINOP, Operator.AND),
-    "→": (_BINOP, Operator.IMP),
-    "↔": (_BINOP, Operator.IFF),
-    "↓": (_BINOP, Operator.NOR),
-    "↑": (_BINOP, Operator.NAND),
-    "←": (_BINOP, Operator.NIMP),
-    "⊕": (_BINOP, Operator.XOR),
-    "↕": (_BINOP, Operator.UPDOWN),
+# Every accepted spelling and what it stands for: an Operator, the Not
+# constructor, or a parenthesis.
+_TOKENS = {
+    **{s: op for ops in _OPS.values() for op, s in ops.items()},
+    "->": Operator.IMP,
+    "<->": Operator.IFF,
+    **dict.fromkeys([*_NEG.values(), "not"], Not),
+    "(": "(",
+    ")": ")",
 }
 
-_KEYWORD_TOKENS = {
-    "not": (_NOT, None),
-    "or": (_BINOP, Operator.OR),
-    "and": (_BINOP, Operator.AND),
-    "imp": (_BINOP, Operator.IMP),
-    "iff": (_BINOP, Operator.IFF),
-    "nor": (_BINOP, Operator.NOR),
-    "nand": (_BINOP, Operator.NAND),
-    "nimp": (_BINOP, Operator.NIMP),
-    "xor": (_BINOP, Operator.XOR),
-    "xiff": (_BINOP, Operator.UPDOWN),
-}
+# Words are atoms unless reserved.  Symbols are tried longest first, so a
+# shorter spelling never shadows a longer one it prefixes.  Any other
+# non-space character is unknown.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<word>%s)|(?P<symbol>%s)|(?P<other>\S))"
+    % (
+        ATOM_PATTERN,
+        "|".join(
+            re.escape(s)
+            for s in sorted(_TOKENS.keys() - RESERVED_WORDS, key=len, reverse=True)
+        ),
+    )
+)
 
 
-@dataclass
-class _Token:
-    kind: str
-    op: Operator | None
-    text: str
-    pos: int
-
-
-def _lex(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(meaning, spelling, position) per token, ending with (None, "", len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # multi-character ascii arrows before anything that could prefix them
-        if text.startswith("<->", i):
-            tokens.append(_Token(_BINOP, Operator.IFF, "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token(_BINOP, Operator.IMP, "->", i))
-            i += 2
-            continue
-        if ch in _SYMBOL_TOKENS:
-            kind, op = _SYMBOL_TOKENS[ch]
-            tokens.append(_Token(kind, op, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() and ch.isascii():
-            j = i + 1
-            while j < n and text[j].isascii() and (text[j].isalnum()):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORD_TOKENS:
-                kind, op = _KEYWORD_TOKENS[word]
-                tokens.append(_Token(kind, op, word, i))
-            else:
-                tokens.append(_Token(_ATOM, None, word, i))
-            i = j
-            continue
-        raise UnknownToken(f"unknown token {ch!r} at position {i}", i)
-    tokens.append(_Token(_EOF, None, "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        spelling = m[kind]
+        pos = m.start(kind)
+        if kind == "other":
+            raise UnknownToken(f"unknown token {spelling!r} at position {pos}", pos)
+        if kind == "word" and spelling not in RESERVED_WORDS:
+            tokens.append((Atom(spelling), spelling, pos))
+        else:
+            tokens.append((_TOKENS[spelling], spelling, pos))
+    tokens.append((None, "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expression(self) -> Formula:
-        """One operand, optionally followed by exactly one binary connective."""
-        left = self.unit()
-        tok = self.peek()
-        if tok.kind != _BINOP:
-            return left
-        op = self.advance().op
-        right = self.unit()
-        after = self.peek()
-        if after.kind == _BINOP:
-            raise AmbiguousChain(
-                f"operator chain is ambiguous at position {after.pos}; "
-                "parenthesize one side",
-                after.pos,
-            )
-        assert op is not None
-        return Bin(op, left, right)
-
-    def unit(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == _ATOM:
-            return Atom(tok.text)
-        if tok.kind == _NOT:
-            return Not(self.unit())
-        if tok.kind == _LPAREN:
-            inner = self.expression()
-            closing = self.advance()
-            if closing.kind == _RPAREN:
-                return inner
-            if closing.kind == _EOF:
-                raise UnbalancedParens(
-                    f"missing ')' at position {closing.pos}", closing.pos
-                )
-            raise UnexpectedToken(
-                f"expected ')' at position {closing.pos}, found {closing.text!r}",
-                closing.pos,
-            )
-        if tok.kind == _RPAREN:
-            raise UnbalancedParens(f"unmatched ')' at position {tok.pos}", tok.pos)
-        raise UnexpectedToken(
-            f"expected a formula at position {tok.pos}", tok.pos
-        )
-
-
 def parse(text: str) -> Formula:
-    """Parse a formula in either dialect; whitespace is insignificant."""
-    tokens = _lex(text)
-    if tokens[0].kind == _EOF:
+    """Parse a formula in either dialect; whitespace is insignificant.
+
+    One pass over the tokens with an explicit stack, so nesting depth is
+    bounded only by memory.  Each open parenthesis saves the enclosing
+    expression's pending negations, left operand and operator.
+    """
+    tokens = _tokenize(text)
+    if len(tokens) == 1:
         raise EmptyInput("empty input")
-    p = _Parser(tokens)
-    f = p.expression()
-    trailing = p.peek()
-    if trailing.kind == _EOF:
-        return f
-    if trailing.kind == _BINOP:
-        raise AmbiguousChain(
-            f"operator chain is ambiguous at position {trailing.pos}; "
-            "parenthesize one side",
-            trailing.pos,
-        )
-    if trailing.kind == _RPAREN:
-        raise UnbalancedParens(
-            f"unmatched ')' at position {trailing.pos}", trailing.pos
-        )
-    raise UnexpectedToken(
-        f"unexpected {trailing.text!r} at position {trailing.pos}", trailing.pos
-    )
+    stack: list[tuple[int, Formula | None, Operator | None]] = []
+    negations, left, op = 0, None, None
+    i = 0
+    while True:
+        # expecting a unit: negations, then an atom or an open parenthesis
+        tok, spelling, pos = tokens[i]
+        i += 1
+        if tok is Not:
+            negations += 1
+            continue
+        if tok == "(":
+            stack.append((negations, left, op))
+            negations, left, op = 0, None, None
+            continue
+        if not isinstance(tok, Atom):
+            if tok == ")":
+                raise UnbalancedParens(f"unmatched ')' at position {pos}", pos)
+            raise UnexpectedToken(f"expected a formula at position {pos}", pos)
+        f: Formula = tok
+        while True:
+            # f is a complete unit; finish the expression it ends, if any
+            while negations:
+                f = Not(f)
+                negations -= 1
+            tok, spelling, pos = tokens[i]
+            if isinstance(tok, Operator):
+                if op is not None:
+                    raise AmbiguousChain(
+                        f"operator chain is ambiguous at position {pos}; "
+                        "parenthesize one side",
+                        pos,
+                    )
+                left, op = f, tok
+                i += 1
+                break
+            if op is not None:
+                f = Bin(op, left, f)
+            if not stack:
+                if tok is None:
+                    return f
+                if tok == ")":
+                    raise UnbalancedParens(f"unmatched ')' at position {pos}", pos)
+                raise UnexpectedToken(f"unexpected {spelling!r} at position {pos}", pos)
+            if tok != ")":
+                if tok is None:
+                    raise UnbalancedParens(f"missing ')' at position {pos}", pos)
+                raise UnexpectedToken(
+                    f"expected ')' at position {pos}, found {spelling!r}", pos
+                )
+            i += 1
+            negations, left, op = stack.pop()
 
 
 def render(f: Formula, dialect: Dialect = Dialect.ASCII) -> str:
     """Fully parenthesized canonical text; `parse(render(f, d)) == f`."""
-    ops = _UNICODE_OPS if dialect is Dialect.UNICODE else _ASCII_OPS
+    infix = _INFIX[dialect]
     neg = _NEG[dialect]
-
-    def go(node: Formula) -> str:
-        if isinstance(node, Atom):
-            return node.name
-        if isinstance(node, Not):
-            return neg + go(node.child)
-        return f"({go(node.left)} {ops[node.op]} {go(node.right)})"
-
-    return go(f)
+    out = []
+    todo: list = [f]  # formulas still to write, and the text between them
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is Atom:
+            out.append(node.name)
+        elif kind is Not:
+            out.append(neg)
+            todo.append(node.child)
+        else:
+            out.append("(")
+            todo += (")", node.right, infix[node.op], node.left)
+    return "".join(out)

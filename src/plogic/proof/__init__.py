@@ -23,7 +23,6 @@ from .objects import (
     Direction,
     Justification,
     MPJust,
-    PremiseJust,
     Proof,
     ProofLine,
     axiom_just,
@@ -54,7 +53,6 @@ __all__ = [
     "Direction",
     "Justification",
     "MPJust",
-    "PremiseJust",
     "Proof",
     "ProofLine",
     "axiom_just",

@@ -141,7 +141,7 @@ def check_proof(proof: Proof) -> CheckResult:
         else:
             return CheckResult(
                 False, k, UNSUPPORTED_JUSTIFICATION,
-                "premise lines are not allowed in closed proofs",
+                "justification is not AX, MP or DEF",
             )
     if lines[-1].formula != proof.goal:
         return CheckResult(

@@ -7,7 +7,9 @@ Text format, one line per proof step (`.` is the empty path):
     3. q ; MP 5,2
 
 The JSON mirror carries the same fields plus the goal.  Both formats
-round-trip exactly through the formula parser.
+round-trip exactly through the formula parser.  Loading checks every
+field; a malformed one raises a ParseError that names it
+(``lines[3].just.direction`` in JSON, ``line 4`` in text).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import json
 import re
 
-from ..errors import ParseError
-from ..formula import Operator, path_from_str, path_to_str
+from ..errors import ParseError, PathError
+from ..formula import Formula, Operator, path_from_str, path_to_str
 from ..parser import parse, render
 from .objects import (
     AxiomJust,
@@ -44,10 +46,31 @@ def _just_to_text(just: Justification) -> str:
     if isinstance(just, DefJust):
         path = path_to_str(just.path) or "."
         return f"DEF {just.name.name} {just.direction.value} @ {path}"
-    raise ValueError("premise lines cannot be serialized")
+    raise ValueError(f"cannot serialize justification {just!r}")
 
 
-def _just_from_text(text: str) -> Justification:
+def _formula(text: str, where: str) -> Formula:
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise type(exc)(f"{where}: {exc}", exc.position) from None
+
+
+def _def_just(name: str, direction: str, path: str, where: str) -> DefJust:
+    """A DEF justification from its three fields; an error names the field
+    after the prefix ``where``."""
+    if name not in Operator.__members__:
+        raise ParseError(f"{where}name: unknown definition name {name!r}")
+    if direction not in Direction.__members__:
+        raise ParseError(f"{where}direction: expected UNFOLD or FOLD, found {direction!r}")
+    try:
+        steps = path_from_str(path)
+    except PathError as exc:
+        raise ParseError(f"{where}path: {exc}") from None
+    return DefJust(Operator[name], steps, Direction[direction])
+
+
+def _just_from_text(text: str, where: str) -> Justification:
     m = _AXIOM_RE.match(text)
     if m:
         subst = {}
@@ -55,21 +78,21 @@ def _just_from_text(text: str) -> Justification:
         if body:
             for part in body.split(","):
                 var, _, formula_text = part.partition(":=")
-                subst[var.strip()] = parse(formula_text)
+                var = var.strip()
+                if var in subst:
+                    raise ParseError(f"{where}: duplicate binding for {var}")
+                subst[var] = _formula(formula_text, where)
         return axiom_just(int(m.group(1)), subst)
     m = _MP_RE.match(text)
     if m:
         return MPJust(int(m.group(1)), int(m.group(2)))
     m = _DEF_RE.match(text)
     if m:
-        try:
-            name = Operator[m.group(1)]
-        except KeyError:
-            raise ParseError(f"unknown definition name {m.group(1)!r}") from None
         path_text = m.group(3)
-        path = path_from_str("" if path_text == "." else path_text)
-        return DefJust(name, path, Direction(m.group(2)))
-    raise ParseError(f"unrecognized justification {text!r}")
+        return _def_just(
+            m.group(1), m.group(2), "" if path_text == "." else path_text, f"{where}: DEF "
+        )
+    raise ParseError(f"{where}: unrecognized justification {text!r}")
 
 
 def proof_to_text(proof: Proof) -> str:
@@ -82,15 +105,20 @@ def proof_to_text(proof: Proof) -> str:
 
 def proof_from_text(text: str) -> Proof:
     lines: list[ProofLine] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
+        where = f"line {number}"
         m = _LINE_RE.match(raw)
         if m is None:
-            raise ParseError(f"unparseable proof line {raw!r}")
+            raise ParseError(f"{where}: unparseable proof line {raw!r}")
         lines.append(
-            ProofLine(int(m.group(1)), parse(m.group(2)), _just_from_text(m.group(3)))
+            ProofLine(
+                int(m.group(1)),
+                _formula(m.group(2), where),
+                _just_from_text(m.group(3), where),
+            )
         )
     if not lines:
         raise ParseError("proof file has no lines")
@@ -113,24 +141,44 @@ def _just_to_dict(just: Justification) -> dict:
             "direction": just.direction.value,
             "path": path_to_str(just.path),
         }
-    raise ValueError("premise lines cannot be serialized")
+    raise ValueError(f"cannot serialize justification {just!r}")
 
 
-def _just_from_dict(data: dict) -> Justification:
-    kind = data["kind"]
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(data: dict, key: str, kind: type, where: str):
+    """``data[key]``, which must be exactly of type ``kind`` (so not a bool
+    for an int); ``where`` names ``data`` in an error."""
+    name = f"{where}.{key}" if where else key
+    if key not in data:
+        raise ParseError(f"{name}: missing")
+    value = data[key]
+    if type(value) is not kind:
+        raise ParseError(f"{name}: expected {_JSON_TYPES[kind]}")
+    return value
+
+
+def _just_from_dict(data: dict, where: str) -> Justification:
+    kind = _field(data, "kind", str, where)
     if kind == "axiom":
-        return axiom_just(
-            data["schema"], {v: parse(f) for v, f in data["subst"].items()}
-        )
+        schema = _field(data, "schema", int, where)
+        subst = {}
+        for var, text in _field(data, "subst", dict, where).items():
+            if type(var) is not str or type(text) is not str:
+                raise ParseError(f"{where}.subst: expected strings mapped to strings")
+            subst[var] = _formula(text, f"{where}.subst.{var}")
+        return axiom_just(schema, subst)
     if kind == "mp":
-        return MPJust(data["major"], data["minor"])
+        return MPJust(_field(data, "major", int, where), _field(data, "minor", int, where))
     if kind == "def":
-        return DefJust(
-            Operator[data["name"]],
-            path_from_str(data["path"]),
-            Direction(data["direction"]),
+        return _def_just(
+            _field(data, "name", str, where),
+            _field(data, "direction", str, where),
+            _field(data, "path", str, where),
+            f"{where}.",
         )
-    raise ParseError(f"unknown justification kind {kind!r}")
+    raise ParseError(f"{where}.kind: unknown justification kind {kind!r}")
 
 
 def proof_to_dict(proof: Proof) -> dict:
@@ -148,13 +196,22 @@ def proof_to_dict(proof: Proof) -> dict:
 
 
 def proof_from_dict(data: dict) -> Proof:
-    lines = [
-        ProofLine(
-            entry["index"], parse(entry["formula"]), _just_from_dict(entry["just"])
+    if type(data) is not dict:
+        raise ParseError("proof: expected an object")
+    lines = []
+    for k, entry in enumerate(_field(data, "lines", list, "")):
+        where = f"lines[{k}]"
+        if type(entry) is not dict:
+            raise ParseError(f"{where}: expected an object")
+        lines.append(
+            ProofLine(
+                _field(entry, "index", int, where),
+                _formula(_field(entry, "formula", str, where), f"{where}.formula"),
+                _just_from_dict(_field(entry, "just", dict, where), f"{where}.just"),
+            )
         )
-        for entry in data["lines"]
-    ]
-    return Proof(goal=parse(data["goal"]), lines=lines)
+    goal = _formula(_field(data, "goal", str, ""), "goal")
+    return Proof(goal=goal, lines=lines)
 
 
 def proof_to_json(proof: Proof) -> str:
@@ -162,7 +219,11 @@ def proof_to_json(proof: Proof) -> str:
 
 
 def proof_from_json(text: str) -> Proof:
-    return proof_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"invalid JSON: {exc}") from None
+    return proof_from_dict(data)
 
 
 def load_proof(text: str) -> Proof:

@@ -39,12 +39,7 @@ class DefJust:
     direction: Direction
 
 
-@dataclass(frozen=True)
-class PremiseJust:
-    """Reserved; closed proofs never use it."""
-
-
-Justification = Union[AxiomJust, MPJust, DefJust, PremiseJust]
+Justification = Union[AxiomJust, MPJust, DefJust]
 
 
 @dataclass

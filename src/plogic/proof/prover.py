@@ -496,7 +496,11 @@ def _derive_branch(
         cache[node] = idx
         return idx
 
-    return go(f0)
+    idx = go(f0)
+    # go refers to itself through its closure; deleting it breaks that cycle,
+    # so b and the cache are freed on return rather than at the next gc pass
+    del go
+    return idx
 
 
 def _prove_primitive(b: _Builder, f0: Formula, atom_names: list[str]) -> int:
@@ -517,7 +521,9 @@ def _prove_primitive(b: _Builder, f0: Formula, atom_names: list[str]) -> int:
         doubled = b.mp(_sum_right(b, bridge, d), drop)  # D or D
         return b.mp(b.axiom(1, A=d), doubled)
 
-    return solve({})
+    idx = solve({})
+    del solve  # breaks a cycle that holds b, as in _derive_branch
+    return idx
 
 
 # ---------------------------------------------------------------------------

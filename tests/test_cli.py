@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from plogic import parse
+from plogic.proof import proof_to_text, prove_tautology
+from test_proofio import MISSING, _edited_json
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -183,3 +187,45 @@ def test_main_results_directory(tmp_path):
     ]
     for f in files:
         assert run_cli("verify", str(f)).returncode == 0
+
+
+def _damaged_proof(keys, value) -> str:
+    proof = prove_tautology(parse("!(p and !p)"))
+    if keys is not None:
+        return _edited_json(proof, keys, value)
+    lines = proof_to_text(proof).splitlines()  # a text DEF line whose path is not a path
+    lines[2] = lines[2].rpartition(";")[0] + "; DEF IMP UNFOLD @ LX"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("lines", 3, "just"), MISSING),
+        (("lines", 0, "index"), "1"),
+        (("lines", 2, "just", "direction"), "SIDEWAYS"),
+        (("lines",), "x"),
+        (("lines", 0, "formula"), 5),
+        (None, None),
+    ],
+    ids=["missing-just", "string-index", "direction", "lines-not-a-list",
+         "formula-not-a-string", "text-path"],
+)
+def test_verify_malformed_proof_exits_2_with_one_line(tmp_path, keys, value):
+    proof_file = tmp_path / "p.prf"
+    proof_file.write_text(_damaged_proof(keys, value), encoding="utf-8")
+    result = run_cli("verify", str(proof_file))
+    assert result.returncode == 2
+    assert result.stderr.startswith("parse error: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text", ["!" * 3000 + "p", "(" * 1200 + "p" + ")" * 1200], ids=["negations", "parens"]
+)
+def test_parse_deep_formula_file(tmp_path, text):
+    source = tmp_path / "deep.txt"
+    source.write_text(text, encoding="utf-8")
+    result = run_cli("parse", f"@{source}")
+    assert result.returncode == 0
+    assert result.stdout == ("p" if text.startswith("(") else text) + "\n"

@@ -5,6 +5,7 @@ from plogic import Atom, Bin, Dialect, Not, Operator, parse, render
 from plogic.errors import (
     AmbiguousChain,
     EmptyInput,
+    ParseError,
     UnbalancedParens,
     UnexpectedToken,
     UnknownToken,
@@ -73,6 +74,48 @@ def test_errors():
         parse("!")  # negation with nothing under it
 
 
+# Exact class, message and position for every kind of malformed input.
+MALFORMED = [
+    ("", EmptyInput, "empty input", None),
+    ("   ", EmptyInput, "empty input", None),
+    ("p % q", UnknownToken, "unknown token '%' at position 2", 2),
+    ("é", UnknownToken, "unknown token 'é' at position 0", 0),
+    ("p - q", UnknownToken, "unknown token '-' at position 2", 2),
+    ("<", UnknownToken, "unknown token '<' at position 0", 0),
+    ("p <- q", UnknownToken, "unknown token '<' at position 2", 2),
+    ("p1 or _q", UnknownToken, "unknown token '_' at position 6", 6),
+    # every character is lexed before any grammar error is reported
+    ("p q %", UnknownToken, "unknown token '%' at position 4", 4),
+    (")", UnbalancedParens, "unmatched ')' at position 0", 0),
+    ("p or q)", UnbalancedParens, "unmatched ')' at position 6", 6),
+    ("()", UnbalancedParens, "unmatched ')' at position 1", 1),
+    ("(p or q", UnbalancedParens, "missing ')' at position 7", 7),
+    ("((p or q)", UnbalancedParens, "missing ')' at position 9", 9),
+    ("(p q)", UnexpectedToken, "expected ')' at position 3, found 'q'", 3),
+    ("(p or q r)", UnexpectedToken, "expected ')' at position 8, found 'r'", 8),
+    ("p or q or r", AmbiguousChain,
+     "operator chain is ambiguous at position 7; parenthesize one side", 7),
+    ("(p ↓ q ↓ r)", AmbiguousChain,
+     "operator chain is ambiguous at position 7; parenthesize one side", 7),
+    ("p q", UnexpectedToken, "unexpected 'q' at position 2", 2),
+    ("!(p) (q)", UnexpectedToken, "unexpected '(' at position 5", 5),
+    ("or", UnexpectedToken, "expected a formula at position 0", 0),
+    ("p or or q", UnexpectedToken, "expected a formula at position 5", 5),
+    ("p ->", UnexpectedToken, "expected a formula at position 4", 4),
+    ("!", UnexpectedToken, "expected a formula at position 1", 1),
+    ("not", UnexpectedToken, "expected a formula at position 3", 3),
+]
+
+
+@pytest.mark.parametrize("text, error, message, position", MALFORMED)
+def test_malformed_input_is_reported_exactly(text, error, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.position == position
+
+
 def test_render_examples():
     assert render(Bin(Operator.NOR, P, Q), Dialect.UNICODE) == "(p ↓ q)"
     assert render(Not(Bin(Operator.IFF, P, Q)), Dialect.ASCII) == "!(p iff q)"
@@ -93,9 +136,26 @@ def test_round_trip_both_dialects(f):
 
 @given(st.text(max_size=40))
 def test_arbitrary_text_parses_or_raises_a_parse_error(text):
-    from plogic.errors import ParseError
-
     try:
         parse(text)
     except ParseError:
         pass
+
+
+# Deep inputs are compared as text: dataclass equality itself recurses.
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("!" * 3000 + "p", "!" * 3000 + "p"),
+        ("!" * 3000 + "(p imp q)", "!" * 3000 + "(p imp q)"),
+        ("(" * 1200 + "p" + ")" * 1200, "p"),
+        ("(" * 1200 + "p imp q" + ")" * 1200, "(p imp q)"),
+        ("(p or " * 1200 + "q" + ")" * 1200, "(p or " * 1200 + "q" + ")" * 1200),
+        ("(" * 1200 + "p or q)" + " imp r)" * 1199, "(" * 1200 + "p or q)" + " imp r)" * 1199),
+    ],
+    ids=["negations", "negated-imp", "parens", "parens-imp", "right-nested", "left-nested"],
+)
+def test_depth_is_bounded_only_by_memory(text, canonical):
+    assert render(parse(text)) == canonical
+    assert render(parse(canonical), Dialect.UNICODE) == canonical.replace(
+        "!", "¬").replace(" imp ", " → ").replace(" or ", " ∨ ")

@@ -8,7 +8,6 @@ from plogic.proof import (
     DefJust,
     Direction,
     MPJust,
-    PremiseJust,
     Proof,
     ProofLine,
     axiom_instance,
@@ -279,7 +278,7 @@ class TestChecker:
         assert result.reason == checker.BAD_LINE_INDEX
 
     def test_rejects_premise_lines(self):
-        proof = Proof(goal=P, lines=[ProofLine(1, P, PremiseJust())])
+        proof = Proof(goal=P, lines=[ProofLine(1, P, object())])
         result = check_proof(proof)
         assert result.reason == checker.UNSUPPORTED_JUSTIFICATION
 

@@ -68,3 +68,93 @@ def test_json_carries_the_goal(sample_proof):
     assert payload["goal"] == "!(p and !p)"
     kinds = {entry["just"]["kind"] for entry in payload["lines"]}
     assert kinds <= {"axiom", "mp", "def"}
+
+
+MISSING = object()
+
+# (keys to the edited JSON value, new value or MISSING, exact error message);
+# in the sample proof, entry 0 is an AX3 line, entry 2 a DEF line and
+# entry 5 an MP line.
+MALFORMED_JSON = [
+    ((), [], "proof: expected an object"),
+    (("lines",), "x", "lines: expected a list"),
+    (("goal",), MISSING, "goal: missing"),
+    (("goal",), "p or", "goal: expected a formula at position 4"),
+    (("lines", 2), 7, "lines[2]: expected an object"),
+    (("lines", 3, "just"), MISSING, "lines[3].just: missing"),
+    (("lines", 0, "index"), "1", "lines[0].index: expected an integer"),
+    (("lines", 0, "index"), True, "lines[0].index: expected an integer"),
+    (("lines", 0, "formula"), 5, "lines[0].formula: expected a string"),
+    (("lines", 0, "formula"), "p or", "lines[0].formula: expected a formula at position 4"),
+    (("lines", 0, "just", "kind"), "premise",
+     "lines[0].just.kind: unknown justification kind 'premise'"),
+    (("lines", 0, "just", "schema"), "3", "lines[0].just.schema: expected an integer"),
+    (("lines", 0, "just", "subst"), ["A"], "lines[0].just.subst: expected an object"),
+    (("lines", 0, "just", "subst", "A"), 1,
+     "lines[0].just.subst: expected strings mapped to strings"),
+    (("lines", 0, "just", "subst", "A"), "%",
+     "lines[0].just.subst.A: unknown token '%' at position 0"),
+    (("lines", 5, "just", "major"), 5.0, "lines[5].just.major: expected an integer"),
+    (("lines", 5, "just", "minor"), MISSING, "lines[5].just.minor: missing"),
+    (("lines", 2, "just", "name"), "FOO", "lines[2].just.name: unknown definition name 'FOO'"),
+    (("lines", 2, "just", "direction"), "SIDEWAYS",
+     "lines[2].just.direction: expected UNFOLD or FOLD, found 'SIDEWAYS'"),
+    (("lines", 2, "just", "path"), "LX", "lines[2].just.path: invalid path string 'LX'"),
+]
+
+
+def _edited_json(proof, keys, value):
+    data = json.loads(proof_to_json(proof))
+    if not keys:
+        return json.dumps(value)
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("keys, value, message", MALFORMED_JSON)
+def test_malformed_json_names_the_field(sample_proof, keys, value, message):
+    with pytest.raises(ParseError) as exc:
+        proof_from_json(_edited_json(sample_proof, keys, value))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "just, message",
+    [
+        ("DEF IMP UNFOLD @ LX", "line 3: DEF path: invalid path string 'LX'"),
+        ("DEF FOO UNFOLD @ .", "line 3: DEF name: unknown definition name 'FOO'"),
+        ("ZAP 3", "line 3: unrecognized justification 'ZAP 3'"),
+    ],
+)
+def test_malformed_text_justification_names_the_line(sample_proof, just, message):
+    lines = proof_to_text(sample_proof).splitlines()
+    lines[2] = lines[2].rpartition(";")[0] + "; " + just
+    with pytest.raises(ParseError) as exc:
+        proof_from_text("\n".join(lines))
+    assert str(exc.value) == message
+
+
+def test_duplicate_axiom_binding_is_rejected():
+    with pytest.raises(ParseError) as exc:
+        proof_from_text("1. ((p or p) imp p) ; AX1 [A:=q, A:=p]\n")
+    assert str(exc.value) == "line 1: duplicate binding for A"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"goal": ',
+        '{"lines": ' + "[" * 100000 + "]" * 100000 + "}",
+        '{"goal": "p", "lines": [], "n": ' + "1" * 5000 + "}",
+    ],
+    ids=["truncated", "deep", "long-int"],
+)
+def test_undecodable_json_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        proof_from_json(text)
