@@ -6,15 +6,21 @@ connective, ``xiff``, is the replacement operator produced by the
 xor-root rewrite; it carries the truth table of ``iff`` but is classed
 with the negated family so rewritten formulas stay inside that language.
 
-Everything here is a pure value: formulas are frozen dataclasses and all
-operations return new trees, so sharing across threads is safe.
+Formulas are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
+Hash-Consing*, 2006): each constructor returns the one live node for its
+arguments, building it only if there is none, so structurally equal
+formulas are the same object.  ``==`` and ``hash`` are therefore the
+identity ones, O(1) at any depth.  Nodes are immutable and the intern
+table is safe to use from several threads; a node that nothing refers
+to leaves the table.  All operations return new formulas.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Union
 
 from .errors import NoDual, PathError
@@ -35,6 +41,11 @@ class Operator(enum.Enum):
     NIMP = "nimp"
     XOR = "xor"
     UPDOWN = "xiff"
+
+    # Members are singletons compared by identity: hash them by identity
+    # too, in C, so that a dict keyed by operators (the intern table's Bin
+    # keys among them) runs no Python-level __hash__.
+    __hash__ = object.__hash__
 
     @property
     def op_class(self) -> OpClass:
@@ -70,30 +81,147 @@ ATOM_PATTERN = "[A-Za-z][A-Za-z0-9]*"
 _ATOM_RE = re.compile(ATOM_PATTERN + r"\Z")
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+# The intern table: one weak reference per live node.  An Atom's key is
+# its name (a str), a Not's the id of its child (an int) and a Bin's the
+# tuple (operator, left, right), so keys of different kinds never compare
+# equal.  Hashing and comparing a key run no Python code (nodes and
+# operators hash by identity), which makes each dict operation on the
+# table atomic.  A live node keeps its child alive, so a Not key's id
+# stays unique.
+#
+# The table takes no lock: a key is only ever inserted where it is absent
+# (dict.setdefault) and deleted where its entry is dead
+# (_remove_dead_weakref, the primitive WeakValueDictionary uses), so a
+# thread can neither evict a live node nor overwrite one.
+_table: dict = {}
+_new = object.__new__
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.name):
-            raise ValueError(f"invalid atom name {self.name!r}")
-        if self.name in RESERVED_WORDS:
-            raise ValueError(f"atom name {self.name!r} is a reserved word")
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+def _evict(ref: _Ref) -> None:
+    """Weak-reference callback: drop a dead node's entry, unless a new
+    node has taken its key since."""
+    _remove_dead_weakref(_table, ref.key)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: Operator
-    left: "Formula"
-    right: "Formula"
+def _settle(key, ref: _Ref, node):
+    """Insert ``ref`` for ``node`` where ``key`` was taken on the first try:
+    return the node interned there, or ``node`` once the dead entry is gone."""
+    while True:
+        old = _table.setdefault(key, ref)
+        if old is ref:
+            return node
+        live = old()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_table, key)
+
+
+class _Node:
+    """Interned and immutable: equality and hashing are by identity."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Atom(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> Atom:
+        # Only a str name is looked up, so no other key can match it.
+        ref = _table.get(name) if name.__class__ is str else None
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not _ATOM_RE.match(name):
+            raise ValueError(f"invalid atom name {name!r}")
+        if name in RESERVED_WORDS:
+            raise ValueError(f"atom name {name!r} is a reserved word")
+        node = _new(cls)
+        _atom_name(node, name)
+        ref = _Ref(node, _evict)
+        ref.key = name
+        if _table.setdefault(name, ref) is not ref:
+            return _settle(name, ref, node)
+        return node
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r})"
+
+    def __reduce__(self):
+        return Atom, (self.name,)
+
+
+class Not(_Node):
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __new__(cls, child: Formula) -> Not:
+        key = id(child)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _not_child(node, child)
+        ref = _Ref(node, _evict)
+        ref.key = key
+        if _table.setdefault(key, ref) is not ref:
+            return _settle(key, ref, node)
+        return node
+
+    def __repr__(self) -> str:
+        return f"Not(child={self.child!r})"
+
+    def __reduce__(self):
+        return Not, (self.child,)
+
+
+class Bin(_Node):
+    __slots__ = ("op", "left", "right")
+    __match_args__ = ("op", "left", "right")
+
+    def __new__(cls, op: Operator, left: Formula, right: Formula) -> Bin:
+        key = (op, left, right)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bin_op(node, op)
+        _bin_left(node, left)
+        _bin_right(node, right)
+        ref = _Ref(node, _evict)
+        ref.key = key
+        if _table.setdefault(key, ref) is not ref:
+            return _settle(key, ref, node)
+        return node
+
+    def __repr__(self) -> str:
+        return f"Bin(op={self.op!r}, left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return Bin, (self.op, self.left, self.right)
 
 
 Formula = Union[Atom, Not, Bin]
+
+# Slot setters for the constructors, past the classes' __setattr__.
+_atom_name = Atom.name.__set__
+_not_child = Not.child.__set__
+_bin_op, _bin_left, _bin_right = Bin.op.__set__, Bin.left.__set__, Bin.right.__set__
 
 
 class Step(enum.Enum):
@@ -155,15 +283,16 @@ def language_of(f: Formula) -> Language:
 def atoms_of(f: Formula) -> list[str]:
     """Distinct atom names in order of first occurrence, left to right."""
     seen: dict[str, None] = {}
-    def walk(node: Formula) -> None:
+    stack = [f]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Atom):
             seen.setdefault(node.name, None)
         elif isinstance(node, Not):
-            walk(node.child)
+            stack.append(node.child)
         else:
-            walk(node.left)
-            walk(node.right)
-    walk(f)
+            stack.append(node.right)
+            stack.append(node.left)
     return list(seen)
 
 
@@ -185,13 +314,23 @@ def subformula_at(f: Formula, path: Path) -> Formula:
 
 def replace_at(f: Formula, path: Path, g: Formula) -> Formula:
     """Functionally replace the subformula occurrence at ``path`` with ``g``."""
-    if not path:
-        return g
-    step, rest = path[0], path[1:]
-    if step is Step.CHILD and isinstance(f, Not):
-        return Not(replace_at(f.child, rest, g))
-    if step is Step.LEFT and isinstance(f, Bin):
-        return Bin(f.op, replace_at(f.left, rest, g), f.right)
-    if step is Step.RIGHT and isinstance(f, Bin):
-        return Bin(f.op, f.left, replace_at(f.right, rest, g))
-    raise PathError(f"step {step.value} not applicable")
+    ancestors = []
+    node = f
+    for step in path:
+        ancestors.append(node)
+        if step is Step.CHILD and isinstance(node, Not):
+            node = node.child
+        elif step is Step.LEFT and isinstance(node, Bin):
+            node = node.left
+        elif step is Step.RIGHT and isinstance(node, Bin):
+            node = node.right
+        else:
+            raise PathError(f"step {step.value} not applicable")
+    for step, node in zip(reversed(path), reversed(ancestors)):
+        if step is Step.CHILD:
+            g = Not(g)
+        elif step is Step.LEFT:
+            g = Bin(node.op, g, node.right)
+        else:
+            g = Bin(node.op, node.left, g)
+    return g

@@ -49,6 +49,13 @@ def _just_to_text(just: Justification) -> str:
     raise ValueError(f"cannot serialize justification {just!r}")
 
 
+def _number(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on int() digits
+        raise ParseError(f"{where}: number too long ({len(digits)} digits)") from None
+
+
 def _formula(text: str, where: str) -> Formula:
     try:
         return parse(text)
@@ -82,10 +89,10 @@ def _just_from_text(text: str, where: str) -> Justification:
                 if var in subst:
                     raise ParseError(f"{where}: duplicate binding for {var}")
                 subst[var] = _formula(formula_text, where)
-        return axiom_just(int(m.group(1)), subst)
+        return axiom_just(_number(m.group(1), where), subst)
     m = _MP_RE.match(text)
     if m:
-        return MPJust(int(m.group(1)), int(m.group(2)))
+        return MPJust(_number(m.group(1), where), _number(m.group(2), where))
     m = _DEF_RE.match(text)
     if m:
         path_text = m.group(3)
@@ -115,7 +122,7 @@ def proof_from_text(text: str) -> Proof:
             raise ParseError(f"{where}: unparseable proof line {raw!r}")
         lines.append(
             ProofLine(
-                int(m.group(1)),
+                _number(m.group(1), where),
                 _formula(m.group(2), where),
                 _just_from_text(m.group(3), where),
             )

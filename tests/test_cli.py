@@ -229,3 +229,24 @@ def test_parse_deep_formula_file(tmp_path, text):
     result = run_cli("parse", f"@{source}")
     assert result.returncode == 0
     assert result.stdout == ("p" if text.startswith("(") else text) + "\n"
+
+
+def test_parse_json_deep_formula_file(tmp_path):
+    source = tmp_path / "deep.txt"
+    source.write_text("!" * 3000 + "p", encoding="utf-8")
+    result = run_cli("parse", "--json", f"@{source}")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["atoms"] == ["p"]
+
+
+def test_verify_def_step_under_1200_negations(tmp_path):
+    a = "!" * 1200 + "(p imp q)"
+    unfolded = "!" * 1200 + "(!p or q)"
+    proof_file = tmp_path / "deep.prf"
+    proof_file.write_text(
+        f"1. ({a} imp ({a} or q)) ; AX2 [A:={a}, B:=q]\n"
+        f"2. ({unfolded} imp ({a} or q)) ; DEF IMP UNFOLD @ L{'C' * 1200}\n",
+        encoding="utf-8",
+    )
+    result = run_cli("verify", str(proof_file))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "accepted (2 lines)\n", "")

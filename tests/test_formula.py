@@ -1,3 +1,11 @@
+import copy
+import gc
+import pickle
+import random
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +25,11 @@ from plogic import (
     replace_at,
     subformula_at,
 )
+from plogic import formula, render
+from plogic.cli import main
 from plogic.errors import NoDual, PathError
 from plogic.formula import Step
+from plogic.proof import check_proof, load_proof, proof_to_text, prove_tautology
 
 from oracle import random_formula
 
@@ -145,3 +156,101 @@ def _random_path(rng, f):
             step = rng.choice([Step.LEFT, Step.RIGHT])
             path.append(step)
             node = node.left if step is Step.LEFT else node.right
+
+
+class TestHashConsing:
+    def test_equal_constructions_are_one_node(self):
+        for op in Operator:
+            assert Bin(op, P, Not(Q)) is Bin(op, Atom("p"), Not(Atom("q")))
+        assert Bin(Operator.OR, P, Q) is not Bin(Operator.OR, Q, P)
+        assert Bin(Operator.OR, P, Q) is not Bin(Operator.NOR, P, Q)
+
+    @given(formulas())
+    def test_parse_returns_the_interned_node(self, f):
+        text = render(f)
+        assert parse(text) is parse(text) is f
+
+    def test_loaded_proof_shares_the_generated_nodes(self):
+        proof = prove_tautology(parse("(p imp q) or (q imp p)"))
+        loaded = load_proof(proof_to_text(proof))
+        assert len(loaded.lines) == len(proof.lines)
+        for mine, theirs in zip(loaded.lines, proof.lines):
+            assert mine.formula is theirs.formula
+        assert loaded.goal is proof.goal
+
+    def test_fields_are_read_only(self):
+        f = Bin(Operator.AND, P, Not(Q))
+        for node, field in ((P, "name"), (f.right, "child"), (f, "op"), (f, "left")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, R)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert f.left is P and f.right.child is Q
+
+    def test_copy_and_pickle_return_the_interned_node(self):
+        f = parse("(p nand !q) xiff r")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_dead_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(formula._table)
+        fs = [random_formula(random.Random(k), ["dead1", "dead2", "dead3"], 6) for k in range(300)]
+        assert len(formula._table) > before
+        del fs
+        gc.collect()
+        assert len(formula._table) == before
+
+    def test_a_late_eviction_keeps_the_live_node(self):
+        # A dead node's callback may run after a new node has taken its key.
+        f = Not(Atom("late1"))
+        [live] = weakref.getweakrefs(f)
+        stale = formula._Ref(Atom("late2"), None)
+        assert stale() is None
+        stale.key = live.key
+        formula._evict(stale)
+        assert Not(Atom("late1")) is f
+
+    def test_deep_axiom_line_is_checked(self, tmp_path):
+        a = "!" * 3000 + "p"
+        text = f"1. ({a} imp ({a} or q)) ; AX2 [A:={a}, B:=q]\n"
+        assert check_proof(load_proof(text)).accepted
+        proof_file = tmp_path / "deep.prf"
+        proof_file.write_text(text, encoding="utf-8")
+        assert main(["verify", str(proof_file)]) == 0
+
+    def test_threads_building_the_same_formulas_get_one_node_each(self):
+        threads_n, count, rounds = 8, 2000, 5
+        results = [[] for _ in range(threads_n)]
+        start = threading.Barrier(threads_n, timeout=60)
+
+        def formulas_of_round(r):
+            rng = random.Random(r)
+            names = [f"th{r}x{i}" for i in range(5)]
+            return [random_formula(rng, names, 5) for _ in range(count)]
+
+        def build(slot):
+            start.wait()
+            for r in range(rounds):
+                formulas_of_round(r)  # these die while other threads build them
+                results[slot].append(formulas_of_round(r))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(i,)) for i in range(threads_n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert all(len(r) == rounds for r in results)
+        for r in range(rounds):
+            mine = formulas_of_round(r)
+            for other in results:
+                assert all(x is y for x, y in zip(mine, other[r]))

@@ -173,6 +173,20 @@ class TestChecker:
         )
         assert check_proof(proof).accepted
 
+    def test_def_step_under_1200_negations(self):
+        a = "!" * 1200 + "(p imp q)"
+        unfolded = "!" * 1200 + "(!p or q)"
+        path = (Step.LEFT,) + (Step.CHILD,) * 1200
+        lines = [
+            _line(1, f"{a} imp ({a} or q)", _ax(2, A=a, B="q")),
+            _line(2, f"{unfolded} imp ({a} or q)", DefJust(Operator.IMP, path, Direction.UNFOLD)),
+        ]
+        result = check_proof(Proof(goal=lines[1].formula, lines=lines))
+        assert isinstance(result, checker.CheckResult) and result.accepted
+        lines[1] = ProofLine(2, lines[0].formula, lines[1].just)
+        result = check_proof(Proof(goal=lines[1].formula, lines=lines))
+        assert (result.line, result.reason) == (2, checker.DEF_MISMATCH)
+
     def test_rejects_wrong_axiom_instance(self):
         proof = Proof(
             goal=parse("p imp (p or q)"),

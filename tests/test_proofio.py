@@ -158,3 +158,18 @@ def test_duplicate_axiom_binding_is_rejected():
 def test_undecodable_json_is_a_parse_error(text):
     with pytest.raises(ParseError, match="^invalid JSON: "):
         proof_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" * 5000 + ". p ; MP 1,1",
+        "1. p ; MP 1," + "1" * 5000,
+        "1. p ; AX" + "1" * 5000 + " [A:=p]",
+    ],
+    ids=["line-number", "mp-reference", "schema"],
+)
+def test_overlong_number_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        proof_from_text(text)
+    assert str(exc.value) == "line 1: number too long (5000 digits)"
