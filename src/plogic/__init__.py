@@ -24,6 +24,7 @@ from .formula import (
     path_to_str,
     replace_at,
     subformula_at,
+    subformulas,
 )
 from .parser import Dialect, parse, render
 from .semantics import (

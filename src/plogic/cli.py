@@ -44,6 +44,7 @@ from .transforms import (
     upsilon_encrypt,
 )
 from .proof import check_proof, load_proof, proof_to_json, proof_to_text
+from .proof.io import _field
 from .proof.prover import prove_main_results, prove_tautology
 
 EXIT_OK = 0
@@ -62,9 +63,16 @@ _SEMANTIC_ERRORS = (
 )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_formula_arg(text: str) -> Formula:
     if text.startswith("@"):
-        text = FsPath(text[1:]).read_text(encoding="utf-8")
+        text = _read_text(text[1:])
     return parse(text)
 
 
@@ -189,10 +197,25 @@ def _trace_to_dict(trace: EncryptionTrace) -> dict:
     return {"removed_negations": [path_to_str(p) for p in trace.removed_negations]}
 
 
-def _trace_from_dict(data: dict) -> EncryptionTrace:
-    return EncryptionTrace(
-        tuple(path_from_str(p) for p in data["removed_negations"])
-    )
+def _read_trace(path: str) -> EncryptionTrace:
+    """The trace in the JSON file at ``path``; a malformed field raises a
+    ParseError naming it."""
+    try:
+        data = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if type(data) is not dict:
+        raise ParseError("trace: expected an object")
+    paths = []
+    for k, text in enumerate(_field(data, "removed_negations", list, "")):
+        where = f"removed_negations[{k}]"
+        if type(text) is not str:
+            raise ParseError(f"{where}: expected a string")
+        try:
+            paths.append(path_from_str(text))
+        except PathError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    return EncryptionTrace(tuple(paths))
 
 
 def cmd_transform(args) -> int:
@@ -206,8 +229,7 @@ def cmd_transform(args) -> int:
                 json.dumps(trace_out, indent=2) + "\n", encoding="utf-8"
             )
     elif args.rule == "upsilon-inv":
-        data = json.loads(FsPath(args.trace).read_text(encoding="utf-8"))
-        result = upsilon_decrypt(f, _trace_from_dict(data))
+        result = upsilon_decrypt(f, _read_trace(args.trace))
     elif args.rule == "psi":
         result = psi_apply(f)
     elif args.rule == "psi-inv":
@@ -247,7 +269,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    proof = load_proof(FsPath(args.proof_file).read_text(encoding="utf-8"))
+    proof = load_proof(_read_text(args.proof_file))
     result = check_proof(proof)
     if result.accepted:
         print(f"accepted ({len(proof.lines)} lines)")
@@ -333,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except _SEMANTIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (OSError, json.JSONDecodeError, LogicError) as exc:
+    except (OSError, LogicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -251,82 +251,75 @@ class Language(enum.Enum):
     ATOMIC = "ATOMIC"
 
 
+def subformulas(f: Formula) -> list[Formula]:
+    """Each distinct subformula of ``f`` once, children before parents and
+    left before right, so ``f`` itself comes last.
+
+    One loop over an explicit stack: any nesting depth costs only memory,
+    and a node shared by several parents is visited once.
+    """
+    done: dict[Formula, None] = {}
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node beneath has its children done
+            done[stack.pop()] = None
+        elif isinstance(node, Atom):
+            done[node] = None
+        elif node not in done:
+            if isinstance(node, Not):
+                stack += (node, None, node.child)
+            else:
+                stack += (node, None, node.right, node.left)
+    return list(done)
+
+
 def language_of(f: Formula) -> Language:
     """Classify ``f`` by the family of its binary connectives.
 
     Negation and grouping never affect the class; a formula without any
     binary connective is ATOMIC.
     """
-    seen_fo = False
-    seen_nfo = False
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, Bin):
-            if node.op.op_class is OpClass.FO:
-                seen_fo = True
-            else:
-                seen_nfo = True
-            stack.append(node.right)
-            stack.append(node.left)
-    if seen_fo and seen_nfo:
+    classes = {node.op.op_class for node in subformulas(f) if isinstance(node, Bin)}
+    if len(classes) == 2:
         return Language.MIXED
-    if seen_fo:
+    if OpClass.FO in classes:
         return Language.FO_ONLY
-    if seen_nfo:
+    if OpClass.NFO in classes:
         return Language.NFO_ONLY
     return Language.ATOMIC
 
 
 def atoms_of(f: Formula) -> list[str]:
     """Distinct atom names in order of first occurrence, left to right."""
-    seen: dict[str, None] = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return list(seen)
+    return [node.name for node in subformulas(f) if isinstance(node, Atom)]
 
 
-def subformula_at(f: Formula, path: Path) -> Formula:
-    node = f
+def _trail(f: Formula, path: Path) -> list[Formula]:
+    """The nodes ``path`` passes through from ``f``, its target last."""
+    trail = [f]
     for i, step in enumerate(path):
+        node = trail[-1]
         if step is Step.CHILD and isinstance(node, Not):
-            node = node.child
+            trail.append(node.child)
         elif step is Step.LEFT and isinstance(node, Bin):
-            node = node.left
+            trail.append(node.left)
         elif step is Step.RIGHT and isinstance(node, Bin):
-            node = node.right
+            trail.append(node.right)
         else:
             raise PathError(
                 f"step {step.value} not applicable at position {path_to_str(path[:i])!r}"
             )
-    return node
+    return trail
+
+
+def subformula_at(f: Formula, path: Path) -> Formula:
+    return _trail(f, path)[-1]
 
 
 def replace_at(f: Formula, path: Path, g: Formula) -> Formula:
     """Functionally replace the subformula occurrence at ``path`` with ``g``."""
-    ancestors = []
-    node = f
-    for step in path:
-        ancestors.append(node)
-        if step is Step.CHILD and isinstance(node, Not):
-            node = node.child
-        elif step is Step.LEFT and isinstance(node, Bin):
-            node = node.left
-        elif step is Step.RIGHT and isinstance(node, Bin):
-            node = node.right
-        else:
-            raise PathError(f"step {step.value} not applicable")
-    for step, node in zip(reversed(path), reversed(ancestors)):
+    for step, node in zip(reversed(path), _trail(f, path)[-2::-1]):
         if step is Step.CHILD:
             g = Not(g)
         elif step is Step.LEFT:

@@ -35,9 +35,10 @@ from ..formula import (
     atoms_of,
     replace_at,
     subformula_at,
+    subformulas,
 )
 # assignments stays bound for perfbench/spans.py, which wraps it
-from ..semantics import assignments, evaluate, first_row  # noqa: F401
+from ..semantics import _fill_columns, assignments, first_row  # noqa: F401
 from .axioms import axiom_instance
 from .objects import (
     DefJust,
@@ -454,108 +455,94 @@ def _atom_line(
 
 def _derive_branch(
     b: _Builder,
-    f0: Formula,
+    nodes: list[Formula],
     atom_names: list[str],
     values: dict[str, int],
 ) -> int:
-    """nest(guards(v), f0) for the full assignment v (a true branch)."""
+    """nest(guards(v), f0) for the full assignment v (a true branch), where
+    f0 is the last of ``nodes``, its subformulas in ``subformulas`` order.
+
+    Lines come in the order of the natural recursion: a node's lemma, its
+    operands' lines, then the step joining them.  A todo entry (node, None)
+    enters a node and (node, lemma) finishes it; lemma 0 stands for none.
+    """
     guards = _guard_literals(atom_names, values)
-    cache: dict[Formula, int] = {}
-
-    def val(node: Formula) -> int:
-        return evaluate(node, values)
-
-    def go(node: Formula) -> int:
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
+    value = _fill_columns(nodes, values, 1)
+    line: dict[Formula, int] = {}
+    todo: list[tuple[Formula, int | None]] = [(nodes[-1], None)]
+    while todo:
+        node, lemma = todo.pop()
+        if lemma is None and node in line:
+            continue
         if isinstance(node, Atom):
             pos = atom_names.index(node.name)
-            idx = _atom_line(b, guards, pos, values[node.name])
+            line[node] = _atom_line(b, guards, pos, values[node.name])
         elif isinstance(node, Not):
-            child = node.child
-            if val(child) == 0:
-                idx = go(child)  # the child's signed form is this very formula
-            else:
-                idx = _lift_mp(b, guards, _dni(b, child), go(child))
+            x = node.child
+            if lemma is None:
+                todo += ((node, _dni(b, x) if value[x] else 0), (x, None))
+            else:  # a false child's signed form is this very formula
+                line[node] = _lift_mp(b, guards, lemma, line[x]) if lemma else line[x]
         else:
             assert isinstance(node, Bin) and node.op is _OR
             g, h = node.left, node.right
-            if val(g) == 1:
-                grow = b.axiom(2, A=g, B=h)
-                idx = _lift_mp(b, guards, grow, go(g))
-            elif val(h) == 1:
-                idx = _lift_mp(b, guards, _add_right(b, h, g), go(h))
+            if lemma is None:
+                if value[g]:
+                    todo += ((node, b.axiom(2, A=g, B=h)), (g, None))
+                elif value[h]:
+                    todo += ((node, _add_right(b, h, g)), (h, None))
+                else:
+                    todo += ((node, 0), (h, None), (g, None))
+            elif lemma:
+                line[node] = _lift_mp(b, guards, lemma, line[g if value[g] else h])
             else:
-                left = go(g)
-                right = go(h)
-                curried = _lift_mp(b, guards, _nor_intro(b, g, h), left)
-                idx = _guarded_mp(
-                    b, guards, curried, right, Not(h), Not(_disj(g, h))
-                )
-        cache[node] = idx
-        return idx
-
-    idx = go(f0)
-    # go refers to itself through its closure; deleting it breaks that cycle,
-    # so b and the cache are freed on return rather than at the next gc pass
-    del go
-    return idx
+                curried = _lift_mp(b, guards, _nor_intro(b, g, h), line[g])
+                line[node] = _guarded_mp(b, guards, curried, line[h], Not(h), Not(_disj(g, h)))
+    return line[nodes[-1]]
 
 
-def _prove_primitive(b: _Builder, f0: Formula, atom_names: list[str]) -> int:
-    n = len(atom_names)
-
-    def solve(values: dict[str, int]) -> int:
-        k = len(values)
-        if k == n:
-            return _derive_branch(b, f0, atom_names, values)
-        q = Atom(atom_names[k])
-        on = solve({**values, atom_names[k]: 1})
-        off = solve({**values, atom_names[k]: 0})
-        prefix = _guard_literals(atom_names[:k], values)
-        keep = _pull_guard(b, on, prefix + (Not(q),), f0, k)  # !q or D
-        drop = _pull_guard(b, off, prefix + (q,), f0, k)  # q or D
-        bridge = _fold_imp_root(b, keep)  # q imp D
-        d = _nest(prefix, f0)
-        doubled = b.mp(_sum_right(b, bridge, d), drop)  # D or D
-        return b.mp(b.axiom(1, A=d), doubled)
-
-    idx = solve({})
-    del solve  # breaks a cycle that holds b, as in _derive_branch
-    return idx
+def _case_split(
+    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int]
+) -> int:
+    """nest(guards(values), f0), by splitting on each atom ``values`` leaves
+    open.  Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
+    k = len(values)
+    if k == len(atom_names):
+        return _derive_branch(b, nodes, atom_names, values)
+    f0 = nodes[-1]
+    q = Atom(atom_names[k])
+    on = _case_split(b, nodes, atom_names, {**values, atom_names[k]: 1})
+    off = _case_split(b, nodes, atom_names, {**values, atom_names[k]: 0})
+    prefix = _guard_literals(atom_names[:k], values)
+    keep = _pull_guard(b, on, prefix + (Not(q),), f0, k)  # !q or D
+    drop = _pull_guard(b, off, prefix + (q,), f0, k)  # q or D
+    bridge = _fold_imp_root(b, keep)  # q imp D
+    d = _nest(prefix, f0)
+    doubled = b.mp(_sum_right(b, bridge, d), drop)  # D or D
+    return b.mp(b.axiom(1, A=d), doubled)
 
 
 # ---------------------------------------------------------------------------
 # Entry points.
 
 
-def _first_defined(node: Formula, path: Path) -> tuple[Path, Operator] | None:
-    if isinstance(node, Not):
-        return _first_defined(node.child, path + (Step.CHILD,))
-    if isinstance(node, Bin):
-        if node.op is not _OR:
-            return path, node.op
-        found = _first_defined(node.left, path + (Step.LEFT,))
-        if found is not None:
-            return found
-        return _first_defined(node.right, path + (Step.RIGHT,))
-    return None
-
-
 def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
-    """Rewrite ``f`` into the primitive not/or language, recording steps."""
+    """Rewrite ``f`` into the primitive not/or language, recording steps: a
+    preorder walk unfolds each defined connective where it meets one."""
     steps: list[tuple[Operator, Path]] = []
     g = f
-    while True:
-        found = _first_defined(g, ())
-        if found is None:
-            return g, steps
-        path, op = found
-        node = subformula_at(g, path)
-        assert isinstance(node, Bin)
-        g = replace_at(g, path, definiens(op, node.left, node.right))
-        steps.append((op, path))
+    todo: list[tuple[Path, Formula]] = [((), f)]
+    while todo:
+        path, node = todo.pop()
+        while isinstance(node, Bin) and node.op is not _OR:
+            steps.append((node.op, path))
+            node = definiens(node.op, node.left, node.right)
+            g = replace_at(g, path, node)
+        if isinstance(node, Not):
+            todo.append((path + (Step.CHILD,), node.child))
+        elif isinstance(node, Bin):
+            todo += ((path + (Step.RIGHT,), node.right), (path + (Step.LEFT,), node.left))
+    return g, steps
 
 
 def prove_tautology(f: Formula, max_lines: int = MAX_PROOF_LINES) -> Proof:
@@ -568,7 +555,7 @@ def prove_tautology(f: Formula, max_lines: int = MAX_PROOF_LINES) -> Proof:
         raise NotATautology(row)
     f0, steps = _unfold_plan(f)
     b = _Builder(max_lines)
-    idx = _prove_primitive(b, f0, names)
+    idx = _case_split(b, subformulas(f0), names, {})
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)
     if b.lines[-1].formula != f:

@@ -9,7 +9,9 @@ is shown in the column of the symbol it guards.  The root column is the
 final analysis.
 
 Every semantic question is answered by one scan over the table, a block
-of rows at a time, with each column of a block held as one int.
+of rows at a time, with each column of a block held as one int.  A block's
+columns are filled by one pass over the formula's distinct subformulas,
+children first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .formula import (
     Path,
     Step,
     atoms_of,
-    subformula_at,
+    subformulas,
 )
 from .parser import Dialect, negation_symbol, operator_symbol
 
@@ -66,20 +68,31 @@ def _apply(op: Operator, x: int, y: int, full: int) -> int:
     return (t11 and x & y) | (t10 and x & ny) | (t01 and nx & y) | (t00 and nx & ny)
 
 
+def _fill_columns(nodes: list[Formula], a: Assignment, full: int) -> dict[Formula, int]:
+    """The column of every node of ``nodes`` (an order from ``subformulas``)
+    over one block of rows; an atom ``a`` does not cover raises MissingAtom,
+    the leftmost one first."""
+    col: dict[Formula, int] = {}
+    for node in nodes:
+        if isinstance(node, Bin):
+            col[node] = _apply(node.op, col[node.left], col[node.right], full)
+        elif isinstance(node, Not):
+            col[node] = full ^ col[node.child]
+        else:
+            try:
+                col[node] = a[node.name]
+            except KeyError:
+                raise MissingAtom(node.name) from None
+    return col
+
+
 def evaluate(f: Formula, a: Assignment, full: int = 1) -> int:
     """Column of ``f`` over a block of rows, one bit per row.
 
     ``a`` maps each atom to its column and ``full`` has a bit for every
     row; a plain assignment is a one-row block.
     """
-    if isinstance(f, Atom):
-        try:
-            return a[f.name]
-        except KeyError:
-            raise MissingAtom(f.name) from None
-    if isinstance(f, Not):
-        return full ^ evaluate(f.child, a, full)
-    return _apply(f.op, evaluate(f.left, a, full), evaluate(f.right, a, full), full)
+    return _fill_columns(subformulas(f), a, full)[f]
 
 
 def _row(atoms: list[str], i: int) -> Assignment:
@@ -113,9 +126,10 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
 
 def first_row(f: Formula, value: int) -> Optional[Assignment]:
     """The first row in table order where ``f`` takes ``value``, or None."""
-    atoms = atoms_of(f)
+    nodes = subformulas(f)
+    atoms = [node.name for node in nodes if isinstance(node, Atom)]  # atoms_of, one walk
     for start, cols, full in _blocks(atoms):
-        hits = evaluate(f, cols, full) ^ (0 if value else full)
+        hits = _fill_columns(nodes, cols, full)[f] ^ (0 if value else full)
         if hits:
             return _row(atoms, start + (hits & -hits).bit_length() - 1)
     return None
@@ -135,82 +149,66 @@ class TruthTable:
     final_index: int
 
 
-def _column_paths(f: Formula) -> list[Path]:
-    """Column positions in reading order.
+def _header(f: Formula, dialect: Dialect) -> list[list]:
+    """The table's columns in reading order, as [path, node, header cell].
 
-    Emits one entry per atom and per binary connective; a run of
-    negations directly above a node is folded into that node's column,
-    so the recorded path points at the outermost negation of the run.
+    One column per atom and per binary connective; a run of negations
+    directly above a node is folded into that node's column, so its path
+    and node are those of the outermost negation of the run.  Cells carry
+    the symbol of their column; negations and opening parentheses attach
+    to the cell that follows them, closing parentheses to the cell before.
+    The outermost parenthesis pair is left off, as in print.
     """
-    out: list[Path] = []
-
-    def walk(node: Formula, path: Path, group_top: Path | None) -> None:
-        if isinstance(node, Not):
-            top = path if group_top is None else group_top
-            walk(node.child, path + (Step.CHILD,), top)
-            return
-        own = path if group_top is None else group_top
-        if isinstance(node, Atom):
-            out.append(own)
-            return
-        walk(node.left, path + (Step.LEFT,), None)
-        out.append(own)
-        walk(node.right, path + (Step.RIGHT,), None)
-
-    walk(f, (), None)
-    return out
+    neg = negation_symbol(dialect)
+    columns: list[list] = []
+    pending = ""
+    # (path, node, None) reads the occurrence at path, (path, node, symbol)
+    # is the column of a connective whose left operand has been read, and
+    # None closes a parenthesis
+    todo: list = [((), f, None)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            columns[-1][2] += ")"
+            continue
+        top, node, symbol = item
+        if symbol is None:
+            path, sub = top, node
+            while isinstance(sub, Not):
+                pending += neg
+                path += (Step.CHILD,)
+                sub = sub.child
+            if isinstance(sub, Bin):
+                if path:
+                    pending += "("
+                    todo.append(None)
+                todo += (
+                    (path + (Step.RIGHT,), sub.right, None),
+                    (top, node, operator_symbol(sub.op, dialect)),
+                    (path + (Step.LEFT,), sub.left, None),
+                )
+                continue
+            symbol = sub.name
+        columns.append([top, node, pending + symbol])
+        pending = ""
+    return columns
 
 
 def table_labels(f: Formula, dialect: Dialect = Dialect.UNICODE) -> list[str]:
-    """Header cells aligned with the table columns.
-
-    Cells carry the symbol of their column; negations and opening
-    parentheses attach to the cell that follows them, closing
-    parentheses to the cell before.
-    """
-    neg = negation_symbol(dialect)
-    labels: list[str] = []
-    pending = ""
-
-    def emit(core: str) -> None:
-        nonlocal pending
-        labels.append(pending + core)
-        pending = ""
-
-    def close() -> None:
-        labels[-1] = labels[-1] + ")"
-
-    def walk(node: Formula, at_root: bool = False) -> None:
-        nonlocal pending
-        if isinstance(node, Not):
-            pending += neg
-            walk(node.child)
-            return
-        if isinstance(node, Atom):
-            emit(node.name)
-            return
-        # the outermost parenthesis pair is left off, as in print
-        if not at_root:
-            pending += "("
-        walk(node.left)
-        emit(operator_symbol(node.op, dialect))
-        walk(node.right)
-        if not at_root:
-            close()
-
-    walk(f, at_root=True)
-    return labels
+    """Header cells aligned with the table columns."""
+    return [cell for _, _, cell in _header(f, dialect)]
 
 
 def truth_table(f: Formula) -> TruthTable:
     atoms = atoms_of(f)
-    paths = _column_paths(f)
-    columns = [Column(path, []) for path in paths]
-    subs = [subformula_at(f, path) for path in paths]
+    nodes = subformulas(f)
+    header = _header(f, Dialect.UNICODE)
+    columns = [Column(path, []) for path, _, _ in header]
     for _, cols, full in _blocks(atoms):
         width = full.bit_length()
-        for col, sub in zip(columns, subs):
-            bits = format(evaluate(sub, cols, full), f"0{width}b")[::-1]
+        values = _fill_columns(nodes, cols, full)
+        for col, (_, node, _) in zip(columns, header):
+            bits = format(values[node], f"0{width}b")[::-1]
             col.values += bits.encode().translate(_DIGITS)
     final_index = next(i for i, c in enumerate(columns) if c.path == ())
     return TruthTable(atoms, list(assignments(atoms)), columns, final_index)

@@ -27,6 +27,7 @@ from .formula import (
     Step,
     replace_at,
     subformula_at,
+    subformulas,
 )
 
 # A deletable negation must guard a nor/nand application and itself sit
@@ -44,35 +45,26 @@ class EncryptionTrace:
     removed_negations: tuple[Path, ...] = field(default_factory=tuple)
 
 
-def _removable(node: Formula) -> bool:
-    return (
-        isinstance(node, Not)
-        and isinstance(node.child, Bin)
-        and node.child.op in _GUARDED_OPS
-    )
-
-
 def upsilon_encrypt(f: Formula) -> tuple[Formula, EncryptionTrace]:
     """Delete every eligible negation, preorder, recording positions."""
     removed: list[Path] = []
-
-    def operand(node: Formula, path: Path, host: bool) -> Formula:
-        if host and _removable(node):
+    # (occurrence, its path in the output, sits directly under a host)
+    stack = [(f, (), False)]
+    while stack:
+        node, path, host = stack.pop()
+        guarded = node.child if isinstance(node, Not) else None
+        if host and isinstance(guarded, Bin) and guarded.op in _GUARDED_OPS:
             removed.append(path)
-            node = node.child  # type: ignore[union-attr]
-        return walk(node, path)
-
-    def walk(node: Formula, path: Path) -> Formula:
+            node = guarded
         if isinstance(node, Not):
-            return Not(walk(node.child, path + (Step.CHILD,)))
-        if isinstance(node, Bin):
+            stack.append((node.child, path + (Step.CHILD,), False))
+        elif isinstance(node, Bin):
             host = node.op in _HOST_OPS
-            left = operand(node.left, path + (Step.LEFT,), host)
-            right = operand(node.right, path + (Step.RIGHT,), host)
-            return Bin(node.op, left, right)
-        return node
-
-    out = walk(f, ())
+            stack.append((node.right, path + (Step.RIGHT,), host))
+            stack.append((node.left, path + (Step.LEFT,), host))
+    out = f  # the removals in order, as upsilon_decrypt undoes them in reverse
+    for path in removed:
+        out = replace_at(out, path, subformula_at(out, path).child)
     return out, EncryptionTrace(tuple(removed))
 
 
@@ -98,12 +90,13 @@ def psi_invert(f: Formula) -> Formula:
 
 def desugar(f: Formula) -> Formula:
     """Rewrite every negated-family connective into fundamental form."""
-    if isinstance(f, Not):
-        return Not(desugar(f.child))
-    if isinstance(f, Bin):
-        left = desugar(f.left)
-        right = desugar(f.right)
-        if f.op.op_class is OpClass.NFO:
-            return definiens(f.op, left, right)
-        return Bin(f.op, left, right)
-    return f
+    out: dict[Formula, Formula] = {}
+    for node in subformulas(f):
+        if isinstance(node, Not):
+            out[node] = Not(out[node.child])
+        elif isinstance(node, Bin):
+            rebuild = definiens if node.op.op_class is OpClass.NFO else Bin
+            out[node] = rebuild(node.op, out[node.left], out[node.right])
+        else:
+            out[node] = node
+    return out[f]

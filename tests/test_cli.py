@@ -250,3 +250,52 @@ def test_verify_def_step_under_1200_negations(tmp_path):
     )
     result = run_cli("verify", str(proof_file))
     assert (result.returncode, result.stdout, result.stderr) == (0, "accepted (2 lines)\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "@{bad}"),
+        ("verify", "{bad}"),
+        ("transform", "upsilon-inv", "p", "--trace", "{bad}"),
+    ],
+    ids=["formula-file", "proof-file", "trace-file"],
+)
+def test_undecodable_file_exits_2_with_one_line(tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p or \xff")
+    result = run_cli(*(arg.format(bad=bad) for arg in argv))
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"parse error: {bad}: not UTF-8 text: invalid start byte at byte 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ("{}", "removed_negations: missing"),
+        ("[1]", "trace: expected an object"),
+        ('{"removed_negations": "L"}', "removed_negations: expected a list"),
+        ('{"removed_negations": [1]}', "removed_negations[0]: expected a string"),
+        ('{"removed_negations": ["L", "Q"]}', "removed_negations[1]: invalid path string 'Q'"),
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"removed_negations": [' + "9" * 5000 + "]}", "invalid JSON: Exceeds the limit"),
+    ],
+    ids=["empty", "not-an-object", "not-a-list", "not-a-string", "bad-path", "deep", "long-int"],
+)
+def test_malformed_trace_file_exits_2_naming_the_field(tmp_path, trace, message):
+    path = tmp_path / "t.json"
+    path.write_text(trace, encoding="utf-8")
+    result = run_cli("transform", "upsilon-inv", "(p nor q)", "-t", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"parse error: {message}")
+    assert result.stderr.count("\n") == 1
+
+
+def test_trace_path_outside_the_formula_exits_3(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"removed_negations": ["LL"]}', encoding="utf-8")
+    result = run_cli("transform", "upsilon-inv", "(p nor q)", "-t", str(path))
+    assert result.returncode == 3
+    assert result.stderr == "error: step L not applicable at position 'L'\n"

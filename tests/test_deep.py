@@ -1,0 +1,150 @@
+"""Formulas nested far past the interpreter's recursion limit, through the
+command line and through the prover and checker.
+
+The expected answers come from how each formula is built (the parity of a
+negation run, or a truth column carried along the construction), not from
+``tests/oracle.py``, which recurses.
+"""
+
+import itertools
+import json
+
+import pytest
+
+from plogic import Atom, Bin, Not, Operator, parse, render
+from plogic.proof import check_proof, prove_tautology
+from test_cli import run_cli
+
+DEEP = "!" * 3000 + "p"  # an even run: the same truth table as p
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return f"@{path}"
+
+
+def _mixed(levels=600):
+    """A nor/nand spine with xor side operands, about 1,400 levels deep, its
+    column over (p, q, r) and the number of negations upsilon removes.
+
+    Level kinds cycle: ``!g nor (q xor r)`` and ``(r xor p) nor !g`` each
+    carry a removable negation (g is nor- or nand-rooted); ``!!g nand q``
+    carries none.
+    """
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    rows = list(itertools.product((1, 0), repeat=3))
+    g = Bin(Operator.NOR, p, q)
+    col = {row: 1 - (row[0] | row[1]) for row in rows}
+    removable = 0
+    for i in range(levels):
+        kind = i % 3
+        if kind == 0:
+            g = Bin(Operator.NOR, Not(g), Bin(Operator.XOR, q, r))
+            col = {(a, b, c): 1 - ((1 - col[a, b, c]) | (b ^ c)) for a, b, c in rows}
+        elif kind == 1:
+            g = Bin(Operator.NOR, Bin(Operator.XOR, r, p), Not(g))
+            col = {(a, b, c): 1 - ((c ^ a) | (1 - col[a, b, c])) for a, b, c in rows}
+        else:
+            g = Bin(Operator.NAND, Not(Not(g)), q)
+            col = {(a, b, c): 1 - (col[a, b, c] & b) for a, b, c in rows}
+        removable += kind < 2
+    return g, col, removable
+
+
+def _value(col, row):
+    return col[row["p"], row["q"], row["r"]]
+
+
+def test_check_deep_negations(tmp_path):
+    result = run_cli("check", "--json", _write(tmp_path, "f.txt", DEEP))
+    assert result.returncode == 0
+    out = json.loads(result.stdout)
+    assert (out["verdict"], out["true_at"], out["false_at"]) == ("CONTINGENT", {"p": 1}, {"p": 0})
+
+
+def test_table_deep_negations(tmp_path):
+    source = _write(tmp_path, "f.txt", DEEP)
+    text = run_cli("table", source)
+    assert text.returncode == 0
+    assert text.stdout.splitlines()[0] == f"p | [{DEEP}]"
+    assert [line.split("|")[1].strip() for line in text.stdout.splitlines()[2:4]] == ["1", "0"]
+    result = run_cli("table", "--json", source)
+    assert result.returncode == 0
+    out = json.loads(result.stdout)
+    assert [c["path"] for c in out["columns"]] == [""]
+    assert out["final"] == [1, 0]
+
+
+def test_relate_deep_negations(tmp_path):
+    odd = _write(tmp_path, "g.txt", "!" * 2999 + "p")  # the complement of p
+    result = run_cli("relate", "--json", _write(tmp_path, "f.txt", DEEP), odd)
+    assert result.returncode == 0
+    out = json.loads(result.stdout)
+    assert out == {"parallel": False, "perpendicular": True, "parallel_witness": {"p": 1}}
+
+
+@pytest.mark.parametrize("rule", ["desugar", "upsilon"])
+def test_transform_deep_negations(tmp_path, rule):
+    trace = tmp_path / "t.json"
+    result = run_cli("transform", rule, _write(tmp_path, "f.txt", DEEP), "-t", str(trace))
+    assert (result.returncode, result.stdout) == (0, DEEP + "\n")
+    if rule == "upsilon":
+        assert json.loads(trace.read_text()) == {"removed_negations": []}
+
+
+def test_check_and_table_deep_mixed_formula(tmp_path):
+    f, col, _ = _mixed()
+    source = _write(tmp_path, "f.txt", render(f))
+    check = json.loads(run_cli("check", "--json", source).stdout)
+    values = set(col.values())
+    assert check["verdict"] == {
+        frozenset({1}): "TAUTOLOGY", frozenset({0}): "CONTRADICTION"
+    }.get(frozenset(values), "CONTINGENT")
+    if check["verdict"] == "CONTINGENT":
+        assert _value(col, check["true_at"]) == 1
+        assert _value(col, check["false_at"]) == 0
+    table = json.loads(run_cli("table", "--json", source).stdout)
+    assert table["final"] == [_value(col, row) for row in table["rows"]]
+    assert len(table["columns"]) == 3 + 200 * (4 + 4 + 2)  # a column per atom and connective
+
+
+def test_relate_deep_mixed_formula(tmp_path):
+    f, _, _ = _mixed()
+    a = _write(tmp_path, "a.txt", render(f))
+    b = _write(tmp_path, "b.txt", render(Not(f)))
+    result = run_cli("relate", "--json", a, b)
+    assert result.returncode == 0
+    out = json.loads(result.stdout)
+    assert (out["parallel"], out["perpendicular"]) == (False, True)
+    assert set(out["parallel_witness"].values()) == {1}  # the first row
+
+
+def test_desugar_deep_mixed_formula(tmp_path):
+    f, col, _ = _mixed()
+    result = run_cli("transform", "desugar", _write(tmp_path, "f.txt", render(f)))
+    assert result.returncode == 0
+    assert not {"nor", "nand", "xor", "nimp", "xiff"} & set(result.stdout.split())
+    table = json.loads(run_cli("table", "--json", _write(tmp_path, "g.txt", result.stdout)).stdout)
+    assert table["final"] == [_value(col, row) for row in table["rows"]]
+
+
+def test_upsilon_round_trip_deep_mixed_formula(tmp_path):
+    f, _, removable = _mixed()
+    trace = tmp_path / "t.json"
+    enc = run_cli("transform", "upsilon", _write(tmp_path, "f.txt", render(f)), "-t", str(trace))
+    assert enc.returncode == 0
+    assert len(json.loads(trace.read_text())["removed_negations"]) == removable
+    assert enc.stdout.count("!") == render(f).count("!") - removable
+    dec = run_cli(
+        "transform", "upsilon-inv", _write(tmp_path, "g.txt", enc.stdout), "-t", str(trace)
+    )
+    assert (dec.returncode, dec.stdout) == (0, render(f) + "\n")
+
+
+def test_prove_and_check_under_1100_negations():
+    goal = parse("!" * 1100 + "(p or !p)")
+    proof = prove_tautology(goal)
+    assert len(proof.lines) == 8859
+    assert proof.lines[-1].formula is goal
+    assert check_proof(proof).accepted

@@ -24,6 +24,7 @@ from plogic import (
     path_to_str,
     replace_at,
     subformula_at,
+    subformulas,
 )
 from plogic import formula, render
 from plogic.cli import main
@@ -109,6 +110,34 @@ class TestAtoms:
         with pytest.raises(ValueError):
             Atom("nor")
         Atom("nored")  # a prefix of a keyword is fine
+
+
+def _postorder(f):
+    """The tree's occurrences, children before parents and left to right."""
+    if isinstance(f, Not):
+        return _postorder(f.child) + [f]
+    if isinstance(f, Bin):
+        return _postorder(f.left) + _postorder(f.right) + [f]
+    return [f]
+
+
+class TestSubformulas:
+    @given(formulas())
+    def test_first_occurrences_of_the_postorder(self, f):
+        assert subformulas(f) == list(dict.fromkeys(_postorder(f)))
+
+    def test_shared_nodes_are_listed_once(self):
+        a = Bin(Operator.AND, P, Q)
+        f = Bin(Operator.OR, Not(a), Bin(Operator.IMP, a, P))
+        assert subformulas(f) == [P, Q, a, Not(a), Bin(Operator.IMP, a, P), f]
+
+    def test_depth_costs_only_memory(self):
+        f = P
+        for _ in range(100_000):
+            f = Not(f)
+        nodes = subformulas(f)
+        assert (len(nodes), nodes[0], nodes[-1]) == (100_001, P, f)
+        assert atoms_of(f) == ["p"] and language_of(f) is Language.ATOMIC
 
 
 class TestPaths:

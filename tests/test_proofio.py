@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plogic import parse
 from plogic.errors import ParseError
 from plogic.proof import (
+    CheckResult,
     check_proof,
     load_proof,
     proof_from_json,
@@ -173,3 +175,80 @@ def test_overlong_number_is_a_parse_error(text):
     with pytest.raises(ParseError) as exc:
         proof_from_text(text)
     assert str(exc.value) == "line 1: number too long (5000 digits)"
+
+
+# Fuzzing: whatever the input, loading either returns a proof, which the
+# checker then judges, or raises a ParseError; nothing else escapes.
+
+FUZZ_PROOF = prove_tautology(parse("!(p and !p)"))  # AX, MP and DEF lines
+
+# Pieces of the proof formats, so that edits often stay nearly well formed.
+_PIECES = st.sampled_from([
+    "0", "1", "7", "99999", "-1", "9" * 40, ".", ",", ";", ":", " ", "\n", "#",
+    "[", "]", "{", "}", '"', "A:=", "B:=", "C:=", "D:=", "p", "q", "!", "(", ")",
+    " or ", " imp ", " nor ", " xiff ", "AX", "AX0", "AX5", "MP", "DEF", "IMP",
+    "OR", "XOR", "UNFOLD", "FOLD", "@", "L", "R", "C", "LX", "é", "\x00", "\t",
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _PIECES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_PIECES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _loads_or_rejects(text):
+    try:
+        proof = load_proof(text)
+    except ParseError:
+        return
+    assert isinstance(check_proof(proof), CheckResult)
+
+
+def _positions(data):
+    """Every (container, key) in a decoded JSON document."""
+    found = []
+    todo = [data]
+    while todo:
+        node = todo.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            found.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_text_proofs_load_or_raise_a_parse_error(data):
+    text = proof_to_text(FUZZ_PROOF)
+    for _ in range(data.draw(st.integers(1, 4))):
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 12)))
+        insert = "".join(data.draw(st.lists(_PIECES, max_size=4)))
+        text = text[:start] + insert + text[end:]
+    _loads_or_rejects(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_json_proofs_load_or_raise_a_parse_error(data):
+    document = json.loads(proof_to_json(FUZZ_PROOF))
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = _positions(document)
+        if not positions:
+            break
+        container, key = data.draw(st.sampled_from(positions))
+        if data.draw(st.booleans()):
+            container[key] = data.draw(_JSON_VALUES)
+        elif isinstance(container, dict):
+            del container[key]
+        else:
+            container.pop(key)
+    _loads_or_rejects(json.dumps(document))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text().map(lambda t: "{" + t) | st.lists(_PIECES).map("".join))
+def test_random_strings_load_or_raise_a_parse_error(text):
+    _loads_or_rejects(text)
