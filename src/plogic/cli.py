@@ -3,13 +3,14 @@
 Commands: parse, table, check, relate, transform, prove, verify.
 Formulas are given inline in either dialect, or as ``@path`` to read a
 file.  Exit codes: 0 success, 2 parse/usage error, 3 semantic
-precondition failure, 4 proof rejection.
+precondition failure, 4 proof rejection, 141 closed output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_REJECTED = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, the shell's status for a closed pipe
 
 
 _SEMANTIC_ERRORS = (
@@ -167,11 +169,12 @@ def cmd_check(args) -> int:
 def cmd_relate(args) -> int:
     a = _read_formula_arg(args.a)
     b = _read_formula_arg(args.b)
-    if language_of(a) is not Language.FO_ONLY or language_of(b) is not Language.NFO_ONLY:
+    lang_a, lang_b = language_of(a), language_of(b)
+    if lang_a is not Language.FO_ONLY or lang_b is not Language.NFO_ONLY:
         print(
             "warning: relations are usually taken between a fundamental-only "
             "left side and a negated-only right side; classes here are "
-            f"{language_of(a).value} / {language_of(b).value}",
+            f"{lang_a.value} / {lang_b.value}",
             file=sys.stderr,
         )
     par = is_parallel(a, b)
@@ -355,13 +358,22 @@ def main(argv: list[str] | None = None) -> int:
     except _SEMANTIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except BrokenPipeError:
+        raise  # not an error of the input: the entry point handles it
     except (OSError, LogicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone, as `head` does: exit quietly
+        # with stdout on devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

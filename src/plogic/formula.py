@@ -107,9 +107,10 @@ def _evict(ref: _Ref) -> None:
     _remove_dead_weakref(_table, ref.key)
 
 
-def _settle(key, ref: _Ref, node):
-    """Insert ``ref`` for ``node`` where ``key`` was taken on the first try:
-    return the node interned there, or ``node`` once the dead entry is gone."""
+def _intern(key, node):
+    """Insert ``node`` where ``key`` is free or dead; return the node there."""
+    ref = _Ref(node, _evict)
+    ref.key = key
     while True:
         old = _table.setdefault(key, ref)
         if old is ref:
@@ -121,7 +122,8 @@ def _settle(key, ref: _Ref, node):
 
 
 class _Node:
-    """Interned and immutable: equality and hashing are by identity."""
+    """Interned and immutable: equality and hashing are by identity, a copy
+    is the node itself, and repr and pickle take any depth."""
 
     __slots__ = ("__weakref__",)
 
@@ -131,6 +133,27 @@ class _Node:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        from .parser import render  # here, as the parser imports this module
+        return f"parse({render(self)!r})"
+
+    def __reduce__(self):
+        # The subformulas list, one entry per distinct node: its class and
+        # its fields, each child given by its place in the list.
+        nodes = subformulas(self)
+        place = {node: i for i, node in enumerate(nodes)}
+        return _rebuild, ([
+            (Atom, node.name) if isinstance(node, Atom)
+            else (Not, place[node.child]) if isinstance(node, Not)
+            else (Bin, node.op, place[node.left], place[node.right])
+            for node in nodes
+        ],)
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
 
 class Atom(_Node):
     __slots__ = ("name",)
@@ -139,27 +162,15 @@ class Atom(_Node):
     def __new__(cls, name: str) -> Atom:
         # Only a str name is looked up, so no other key can match it.
         ref = _table.get(name) if name.__class__ is str else None
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if ref is not None and (node := ref()) is not None:
+            return node
         if not _ATOM_RE.match(name):
             raise ValueError(f"invalid atom name {name!r}")
         if name in RESERVED_WORDS:
             raise ValueError(f"atom name {name!r} is a reserved word")
         node = _new(cls)
         _atom_name(node, name)
-        ref = _Ref(node, _evict)
-        ref.key = name
-        if _table.setdefault(name, ref) is not ref:
-            return _settle(name, ref, node)
-        return node
-
-    def __repr__(self) -> str:
-        return f"Atom(name={self.name!r})"
-
-    def __reduce__(self):
-        return Atom, (self.name,)
+        return _intern(name, node)
 
 
 class Not(_Node):
@@ -169,23 +180,11 @@ class Not(_Node):
     def __new__(cls, child: Formula) -> Not:
         key = id(child)
         ref = _table.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if ref is not None and (node := ref()) is not None:
+            return node
         node = _new(cls)
         _not_child(node, child)
-        ref = _Ref(node, _evict)
-        ref.key = key
-        if _table.setdefault(key, ref) is not ref:
-            return _settle(key, ref, node)
-        return node
-
-    def __repr__(self) -> str:
-        return f"Not(child={self.child!r})"
-
-    def __reduce__(self):
-        return Not, (self.child,)
+        return _intern(key, node)
 
 
 class Bin(_Node):
@@ -195,25 +194,13 @@ class Bin(_Node):
     def __new__(cls, op: Operator, left: Formula, right: Formula) -> Bin:
         key = (op, left, right)
         ref = _table.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if ref is not None and (node := ref()) is not None:
+            return node
         node = _new(cls)
         _bin_op(node, op)
         _bin_left(node, left)
         _bin_right(node, right)
-        ref = _Ref(node, _evict)
-        ref.key = key
-        if _table.setdefault(key, ref) is not ref:
-            return _settle(key, ref, node)
-        return node
-
-    def __repr__(self) -> str:
-        return f"Bin(op={self.op!r}, left={self.left!r}, right={self.right!r})"
-
-    def __reduce__(self):
-        return Bin, (self.op, self.left, self.right)
+        return _intern(key, node)
 
 
 Formula = Union[Atom, Not, Bin]
@@ -272,6 +259,14 @@ def subformulas(f: Formula) -> list[Formula]:
             else:
                 stack += (node, None, node.right, node.left)
     return list(done)
+
+
+def _rebuild(entries: list) -> Formula:
+    """The formula that ``_Node.__reduce__`` wrote as ``entries``."""
+    nodes: list[Formula] = []
+    for cls, *fields in entries:
+        nodes.append(cls(*[nodes[x] if type(x) is int else x for x in fields]))
+    return nodes[-1]
 
 
 def language_of(f: Formula) -> Language:

@@ -217,6 +217,8 @@ def proof_from_dict(data: dict) -> Proof:
                 _just_from_dict(_field(entry, "just", dict, where), f"{where}.just"),
             )
         )
+    if not lines:
+        raise ParseError("lines: proof has no lines")
     goal = _formula(_field(data, "goal", str, ""), "goal")
     return Proof(goal=goal, lines=lines)
 

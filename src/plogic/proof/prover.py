@@ -150,22 +150,10 @@ def _def_step(
 
 
 def _unfold_imp_root(b: _Builder, idx: int) -> int:
-    f = b.formula_at(idx)
-    assert isinstance(f, Bin) and f.op is _IMP
-    target = _disj(Not(f.left), f.right)
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     return _def_step(b, idx, _IMP, (), Direction.UNFOLD)
 
 
 def _fold_imp_root(b: _Builder, idx: int) -> int:
-    f = b.formula_at(idx)
-    assert isinstance(f, Bin) and f.op is _OR and isinstance(f.left, Not)
-    target = _imp(f.left.child, f.right)
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     return _def_step(b, idx, _IMP, (), Direction.FOLD)
 
 

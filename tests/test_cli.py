@@ -173,6 +173,32 @@ def test_verify_rejects_corrupted_reference(tmp_path):
     assert f"rejected at line {target + 1}" in result.stdout
 
 
+def test_verify_json_proof_without_lines_exits_2(tmp_path):
+    proof_file = tmp_path / "p.json"
+    proof_file.write_text('{"goal": "p", "lines": []}', encoding="utf-8")
+    result = run_cli("verify", str(proof_file))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "parse error: lines: proof has no lines\n"
+    )
+
+
+def test_closed_output_pipe_exits_141_silently():
+    # 4,096 rows, far more than the pipe holds, so the table is still being
+    # written when the reader closes its end
+    chain = "(a or (b or (c or (d or (e or (f or (g or (h or (i or (j or (k or m)))))))))))"
+    with subprocess.Popen(
+        [sys.executable, "-m", "plogic.cli", "table", chain],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"a b c d e f g h i j k m | ")
+    assert (code, stderr) == (141, b"")
+
+
 @pytest.mark.slow
 def test_main_results_directory(tmp_path):
     outdir = tmp_path / "out"

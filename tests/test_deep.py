@@ -6,8 +6,11 @@ negation run, or a truth column carried along the construction), not from
 ``tests/oracle.py``, which recurses.
 """
 
+import copy
 import itertools
 import json
+import pickle
+import sys
 
 import pytest
 
@@ -148,3 +151,15 @@ def test_prove_and_check_under_1100_negations():
     assert len(proof.lines) == 8859
     assert proof.lines[-1].formula is goal
     assert check_proof(proof).accepted
+
+
+@pytest.mark.parametrize("kind", ["negations", "spine"])
+def test_repr_pickle_and_copy_take_any_depth(kind):
+    assert sys.getrecursionlimit() <= 1000
+    f = parse(DEEP) if kind == "negations" else _mixed()[0]
+    assert repr(f) == str(f) == f"parse({render(f)!r})"
+    assert eval(repr(f), {"parse": parse}) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, f]) == [f, f]

@@ -283,3 +283,26 @@ class TestHashConsing:
             mine = formulas_of_round(r)
             for other in results:
                 assert all(x is y for x, y in zip(mine, other[r]))
+
+
+class TestExternalForm:
+    def test_repr_is_the_parse_call_of_the_canonical_text(self):
+        assert repr(parse("(p nor !q)")) == "parse('(p nor !q)')"
+        assert str(Atom("p")) == "parse('p')"
+
+    @given(formulas())
+    def test_repr_evaluates_to_the_node(self, f):
+        assert eval(repr(f), {"parse": parse}) is f
+
+    @given(formulas())
+    def test_pickle_returns_the_node(self, f):
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_pickle_keeps_shared_subformulas_shared(self):
+        # 40 doublings: 2**40 leaves as a tree, 41 distinct nodes
+        f = Atom("p")
+        for _ in range(40):
+            f = Bin(Operator.AND, f, f)
+        data = pickle.dumps(f)
+        assert len(data) < 2000
+        assert pickle.loads(data) is f

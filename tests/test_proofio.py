@@ -142,6 +142,12 @@ def test_malformed_text_justification_names_the_line(sample_proof, just, message
     assert str(exc.value) == message
 
 
+def test_json_proof_without_lines_names_the_field():
+    with pytest.raises(ParseError) as exc:
+        proof_from_json('{"goal": "p", "lines": []}')
+    assert str(exc.value) == "lines: proof has no lines"
+
+
 def test_duplicate_axiom_binding_is_rejected():
     with pytest.raises(ParseError) as exc:
         proof_from_text("1. ((p or p) imp p) ; AX1 [A:=q, A:=p]\n")
