@@ -2,8 +2,8 @@
 
 Commands: parse, table, check, relate, transform, prove, verify.
 Formulas are given inline in either dialect, or as ``@path`` to read a
-file.  Exit codes: 0 success, 2 parse/usage error, 3 semantic
-precondition failure, 4 proof rejection, 141 closed output pipe.
+file.  Exit codes: 0 success, 2 parse, usage or file error, 3 any other
+failed precondition, 4 proof rejection, 141 closed output pipe.
 """
 
 from __future__ import annotations
@@ -14,17 +14,8 @@ import os
 import sys
 from pathlib import Path as FsPath
 
-from .errors import (
-    LogicError,
-    NotATautology,
-    NotUpdownRoot,
-    NotXorRoot,
-    ParseError,
-    PathError,
-    ProofTooLarge,
-    TooManyAtoms,
-)
-from .formula import Formula, Language, language_of, atoms_of, path_from_str, path_to_str
+from .errors import LogicError, ParseError
+from .formula import Formula, Language, language_of, atoms_of, path_to_str
 from .parser import Dialect, parse, render
 # assignments and evaluate stay bound for perfbench/spans.py, which wraps them
 from .semantics import (  # noqa: F401
@@ -37,7 +28,6 @@ from .semantics import (  # noqa: F401
     truth_table,
 )
 from .transforms import (
-    EncryptionTrace,
     desugar,
     psi_apply,
     psi_invert,
@@ -45,7 +35,7 @@ from .transforms import (
     upsilon_encrypt,
 )
 from .proof import check_proof, load_proof, proof_to_json, proof_to_text
-from .proof.io import _field
+from .proof.io import trace_from_json, trace_to_dict
 from .proof.prover import prove_main_results, prove_tautology
 
 EXIT_OK = 0
@@ -53,16 +43,6 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_REJECTED = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, the shell's status for a closed pipe
-
-
-_SEMANTIC_ERRORS = (
-    TooManyAtoms,
-    NotXorRoot,
-    NotUpdownRoot,
-    PathError,
-    NotATautology,
-    ProofTooLarge,
-)
 
 
 def _read_text(path: str) -> str:
@@ -196,43 +176,18 @@ def cmd_relate(args) -> int:
     return EXIT_OK
 
 
-def _trace_to_dict(trace: EncryptionTrace) -> dict:
-    return {"removed_negations": [path_to_str(p) for p in trace.removed_negations]}
-
-
-def _read_trace(path: str) -> EncryptionTrace:
-    """The trace in the JSON file at ``path``; a malformed field raises a
-    ParseError naming it."""
-    try:
-        data = json.loads(_read_text(path))
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if type(data) is not dict:
-        raise ParseError("trace: expected an object")
-    paths = []
-    for k, text in enumerate(_field(data, "removed_negations", list, "")):
-        where = f"removed_negations[{k}]"
-        if type(text) is not str:
-            raise ParseError(f"{where}: expected a string")
-        try:
-            paths.append(path_from_str(text))
-        except PathError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    return EncryptionTrace(tuple(paths))
-
-
 def cmd_transform(args) -> int:
     f = _read_formula_arg(args.formula)
     trace_out = None
     if args.rule == "upsilon":
         result, trace = upsilon_encrypt(f)
-        trace_out = _trace_to_dict(trace)
+        trace_out = trace_to_dict(trace)
         if args.trace:
             FsPath(args.trace).write_text(
                 json.dumps(trace_out, indent=2) + "\n", encoding="utf-8"
             )
     elif args.rule == "upsilon-inv":
-        result = upsilon_decrypt(f, _read_trace(args.trace))
+        result = upsilon_decrypt(f, trace_from_json(_read_text(args.trace)))
     elif args.rule == "psi":
         result = psi_apply(f)
     elif args.rule == "psi-inv":
@@ -355,12 +310,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _SEMANTIC_ERRORS as exc:
+    except LogicError as exc:  # any other failed precondition
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except BrokenPipeError:
         raise  # not an error of the input: the entry point handles it
-    except (OSError, LogicError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -1,4 +1,4 @@
-"""Proof serialization.
+"""Proof and trace serialization: every proof or trace file is decoded here.
 
 Text format, one line per proof step (`.` is the empty path):
 
@@ -7,9 +7,11 @@ Text format, one line per proof step (`.` is the empty path):
     3. q ; MP 5,2
 
 The JSON mirror carries the same fields plus the goal.  Both formats
-round-trip exactly through the formula parser.  Loading checks every
-field; a malformed one raises a ParseError that names it
-(``lines[3].just.direction`` in JSON, ``line 4`` in text).
+round-trip exactly through the formula parser.  An upsilon trace is the
+JSON object ``{"removed_negations": ["CL", ...]}``, one path string per
+removed negation, in removal order.  Loading checks every field; a
+malformed one raises a ParseError that names it (``lines[3].just.direction``
+in JSON, ``line 4`` in text, ``removed_negations[1]`` in a trace).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import json
 import re
 
 from ..errors import ParseError, PathError
-from ..formula import Formula, Operator, path_from_str, path_to_str
+from ..formula import Formula, Operator, Path, path_from_str, path_to_str
 from ..parser import parse, render
+from ..transforms import EncryptionTrace
 from .objects import (
     AxiomJust,
     DefJust,
@@ -63,6 +66,13 @@ def _formula(text: str, where: str) -> Formula:
         raise type(exc)(f"{where}: {exc}", exc.position) from None
 
 
+def _path(text: str, where: str) -> Path:
+    try:
+        return path_from_str(text)
+    except PathError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def _def_just(name: str, direction: str, path: str, where: str) -> DefJust:
     """A DEF justification from its three fields; an error names the field
     after the prefix ``where``."""
@@ -70,11 +80,7 @@ def _def_just(name: str, direction: str, path: str, where: str) -> DefJust:
         raise ParseError(f"{where}name: unknown definition name {name!r}")
     if direction not in Direction.__members__:
         raise ParseError(f"{where}direction: expected UNFOLD or FOLD, found {direction!r}")
-    try:
-        steps = path_from_str(path)
-    except PathError as exc:
-        raise ParseError(f"{where}path: {exc}") from None
-    return DefJust(Operator[name], steps, Direction[direction])
+    return DefJust(Operator[name], _path(path, f"{where}path"), Direction[direction])
 
 
 def _just_from_text(text: str, where: str) -> Justification:
@@ -227,12 +233,15 @@ def proof_to_json(proof: Proof) -> str:
     return json.dumps(proof_to_dict(proof), indent=2) + "\n"
 
 
-def proof_from_json(text: str) -> Proof:
+def _json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from None
-    return proof_from_dict(data)
+
+
+def proof_from_json(text: str) -> Proof:
+    return proof_from_dict(_json(text))
 
 
 def load_proof(text: str) -> Proof:
@@ -240,3 +249,20 @@ def load_proof(text: str) -> Proof:
     if text.lstrip().startswith("{"):
         return proof_from_json(text)
     return proof_from_text(text)
+
+
+def trace_to_dict(trace: EncryptionTrace) -> dict:
+    return {"removed_negations": [path_to_str(p) for p in trace.removed_negations]}
+
+
+def trace_from_json(text: str) -> EncryptionTrace:
+    data = _json(text)
+    if type(data) is not dict:
+        raise ParseError("trace: expected an object")
+    paths = []
+    for k, path in enumerate(_field(data, "removed_negations", list, "")):
+        where = f"removed_negations[{k}]"
+        if type(path) is not str:
+            raise ParseError(f"{where}: expected a string")
+        paths.append(_path(path, where))
+    return EncryptionTrace(tuple(paths))

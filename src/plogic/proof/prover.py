@@ -355,16 +355,9 @@ def _pull_body(
     b: _Builder, idx: int, guards: tuple[Formula, ...], body: Formula
 ) -> int:
     """Commute the body to the front, leaving the guards-only residue."""
-    k = len(guards)
-    assert k >= 1
-    flip = b.axiom(3, A=guards[k - 1], B=body)
-    idx = b.mp(_lift_under(b, guards[: k - 1], flip), idx)
-    tail = guards[k - 1]
-    for i in range(k - 2, -1, -1):
-        swap = _exch(b, guards[i], body, tail)
-        idx = b.mp(_lift_under(b, guards[:i], swap), idx)
-        tail = _disj(guards[i], tail)
-    return idx
+    flip = b.axiom(3, A=guards[-1], B=body)  # swap the body with the last guard
+    idx = b.mp(_lift_under(b, guards[:-1], flip), idx)
+    return _pull_guard(b, idx, guards[:-1] + (body,), guards[-1], len(guards) - 1)
 
 
 def _residue(guards: tuple[Formula, ...]) -> Formula:
@@ -375,10 +368,7 @@ def _residue_impl(
     b: _Builder, guards: tuple[Formula, ...], body: Formula
 ) -> int:
     """residue(guards) imp nest(guards, body)"""
-    impl = b.axiom(2, A=guards[-1], B=body)
-    for i in range(len(guards) - 2, -1, -1):
-        impl = _sum_left(b, guards[i], impl)
-    return impl
+    return _lift_under(b, guards[:-1], b.axiom(2, A=guards[-1], B=body))
 
 
 def _guarded_mp(
@@ -565,5 +555,5 @@ def main_result_goals() -> list[Formula]:
     ]
 
 
-def prove_main_results(max_lines: int = MAX_PROOF_LINES) -> list[Proof]:
-    return [prove_tautology(goal, max_lines) for goal in main_result_goals()]
+def prove_main_results() -> list[Proof]:
+    return [prove_tautology(goal) for goal in main_result_goals()]

@@ -86,13 +86,9 @@ def _fill_columns(nodes: list[Formula], a: Assignment, full: int) -> dict[Formul
     return col
 
 
-def evaluate(f: Formula, a: Assignment, full: int = 1) -> int:
-    """Column of ``f`` over a block of rows, one bit per row.
-
-    ``a`` maps each atom to its column and ``full`` has a bit for every
-    row; a plain assignment is a one-row block.
-    """
-    return _fill_columns(subformulas(f), a, full)[f]
+def evaluate(f: Formula, a: Assignment) -> int:
+    """The value, 0 or 1, of ``f`` under the assignment ``a``."""
+    return _fill_columns(subformulas(f), a, 1)[f]
 
 
 def _row(atoms: list[str], i: int) -> Assignment:

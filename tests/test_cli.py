@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from plogic import parse
+from plogic import cli, parse
+from plogic.errors import MissingAtom, MissingMetavariable, NoDual, TooManyAtoms, UnknownToken
 from plogic.proof import proof_to_text, prove_tautology
 from test_proofio import MISSING, _edited_json
 
@@ -325,3 +326,27 @@ def test_trace_path_outside_the_formula_exits_3(tmp_path):
     result = run_cli("transform", "upsilon-inv", "(p nor q)", "-t", str(path))
     assert result.returncode == 3
     assert result.stderr == "error: step L not applicable at position 'L'\n"
+
+
+# Exit codes follow the error classes: a ParseError or an unreadable file
+# exits 2, any other LogicError is a failed precondition and exits 3.
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (NoDual("xiff has no partner in the duality pairing"), 3, "error"),
+        (MissingAtom("q"), 3, "error"),
+        (MissingMetavariable("B", 2), 3, "error"),
+        (TooManyAtoms(30, 24), 3, "error"),
+        (UnknownToken("unknown token '$' at position 2", 2), 2, "parse error"),
+        (FileNotFoundError(2, "No such file or directory", "f.txt"), 2, "error"),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert cli.main(["check", "p"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"

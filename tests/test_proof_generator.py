@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from plogic import Not, is_tautology, parse
@@ -8,6 +10,9 @@ from plogic.proof import (
     MPJust,
     check_proof,
     main_result_goals,
+    proof_to_json,
+    proof_to_text,
+    prove_main_results,
     prove_tautology,
 )
 
@@ -109,3 +114,41 @@ def test_goals_with_every_defined_connective():
 def test_four_atom_goal():
     proof = prove_tautology(parse("((a or b) or (c or d)) iff ((d or c) or (b or a))"))
     assert check_proof(proof).accepted
+
+
+# Line counts and sha256 digests of the four main-result proofs, as text and
+# as JSON.  A change that alters these proofs on purpose updates them here and
+# says why.
+MAIN_RESULT_PROOFS = [
+    (
+        7450,
+        "bf63e72aed7de6d6412a8b291c446c38ad3852c30ae5200e995f51fe08b788f8",
+        "ce39a9d7a2f7184b96f9cffd90cde5abf7fd4fb1c9640a64c3323eae60c9cbb5",
+    ),
+    (
+        7654,
+        "ed9018949bec6c97cf724a07578b630159b3acb5b2a329ea306aba60186d34ff",
+        "9b421df136abfde16ee81025e75db13c4f01176f861fdff6ebe317c08226f9ed",
+    ),
+    (
+        11107,
+        "bfdae56ce039d4aeda1c57497e3c3084ab351f4f72aec603db6b8eaeeed13cab",
+        "cc7b025a01446fc0fe98803180f18bc79743697c9b1492ec64e202ad809f7f87",
+    ),
+    (
+        11134,
+        "279b6486ff06e306c29b8acd79de4899704bb564869098294409f0271dc40cf5",
+        "555fb2e5eb24ce26b73f907094dd891c82fc73143998d7ead3dbdb24770db974",
+    ),
+]
+
+
+def test_main_result_proofs_are_pinned():
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    found = [
+        (len(proof.lines), sha256(proof_to_text(proof)), sha256(proof_to_json(proof)))
+        for proof in prove_main_results()
+    ]
+    assert found == MAIN_RESULT_PROOFS

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plogic import parse
+from plogic import parse, upsilon_decrypt, upsilon_encrypt
 from plogic.errors import ParseError
 from plogic.proof import (
     CheckResult,
@@ -15,6 +15,7 @@ from plogic.proof import (
     proof_to_text,
     prove_tautology,
 )
+from plogic.proof.io import trace_from_json, trace_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +259,14 @@ def test_fuzzed_json_proofs_load_or_raise_a_parse_error(data):
 @given(st.text() | st.text().map(lambda t: "{" + t) | st.lists(_PIECES).map("".join))
 def test_random_strings_load_or_raise_a_parse_error(text):
     _loads_or_rejects(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["(p nor q)", "!(!(p nor q) nand !r)", "(p ↓ ¬(q ↓ r)) ⊕ (¬(p ↓ q) ↓ r)"]
+)
+def test_trace_round_trips_through_json(text):
+    f = parse(text)
+    stripped, trace = upsilon_encrypt(f)
+    back = trace_from_json(json.dumps(trace_to_dict(trace)))
+    assert back == trace
+    assert upsilon_decrypt(stripped, back) is f
