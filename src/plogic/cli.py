@@ -108,11 +108,8 @@ def cmd_table(args) -> int:
         f"[{label}]" if i == table.final_index else label
         for i, label in enumerate(labels)
     ]
-    widths = [max(len(label), 1) for label in labels]
-    atom_cells = " ".join(table.atom_order)
-    header = atom_cells + " | " + "  ".join(
-        label.center(w) for label, w in zip(labels, widths)
-    )
+    widths = [len(label) for label in labels]
+    header = " ".join(table.atom_order) + " | " + "  ".join(labels)
     print(header)
     print("-" * len(header))
     for i, row in enumerate(table.rows):
@@ -305,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
         top.error("upsilon-inv requires --trace")
     if args.command == "prove" and not args.main_results and not args.formula:
         top.error("prove needs a formula or --main-results")
+    if args.command == "prove" and args.main_results and (args.formula or args.out):
+        top.error("prove --main-results takes no formula and no --out")
+    if args.command == "prove" and args.dir and not args.main_results:
+        top.error("prove --dir needs --main-results")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -47,14 +47,6 @@ _NEG = {Dialect.UNICODE: "¬", Dialect.ASCII: "!"}
 _INFIX = {d: {op: f" {s} " for op, s in ops.items()} for d, ops in _OPS.items()}
 
 
-def operator_symbol(op: Operator, dialect: Dialect) -> str:
-    return _OPS[dialect][op]
-
-
-def negation_symbol(dialect: Dialect) -> str:
-    return _NEG[dialect]
-
-
 # Every accepted spelling and what it stands for: an Operator, the Not
 # constructor, or a parenthesis.
 _TOKENS = {

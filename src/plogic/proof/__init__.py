@@ -1,9 +1,8 @@
-from .axioms import SCHEMA_METAVARS, axiom_instance
+from .axioms import axiom_instance
 from .checker import CheckResult, check_proof
 from ..defs import DEFINED_OPS, definiens, match_definiens
 from .io import (
     load_proof,
-    proof_from_dict,
     proof_from_json,
     proof_from_text,
     proof_to_dict,

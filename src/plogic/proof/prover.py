@@ -73,8 +73,7 @@ def _nest(guards: tuple[Formula, ...], body: Formula) -> Formula:
 class _Builder:
     """Append-only proof tape with a formula -> line memo."""
 
-    def __init__(self, max_lines: int):
-        self.max_lines = max_lines
+    def __init__(self):
         self.lines: list[ProofLine] = []
         self.memo: dict[Formula, int] = {}
 
@@ -85,10 +84,8 @@ class _Builder:
         return self.memo.get(f)
 
     def emit(self, f: Formula, just) -> int:
-        if len(self.lines) >= self.max_lines:
-            raise ProofTooLarge(
-                f"proof exceeds the {self.max_lines}-line guardrail"
-            )
+        if len(self.lines) >= MAX_PROOF_LINES:
+            raise ProofTooLarge(f"proof exceeds the {MAX_PROOF_LINES}-line guardrail")
         idx = len(self.lines) + 1
         self.lines.append(ProofLine(idx, f, just))
         self.memo.setdefault(f, idx)
@@ -523,7 +520,7 @@ def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
     return g, steps
 
 
-def prove_tautology(f: Formula, max_lines: int = MAX_PROOF_LINES) -> Proof:
+def prove_tautology(f: Formula) -> Proof:
     """A checkable proof of ``f``; raises NotATautology with a countermodel."""
     names = atoms_of(f)
     if len(names) > GENERATOR_ATOM_LIMIT:
@@ -532,7 +529,7 @@ def prove_tautology(f: Formula, max_lines: int = MAX_PROOF_LINES) -> Proof:
     if row is not None:
         raise NotATautology(row)
     f0, steps = _unfold_plan(f)
-    b = _Builder(max_lines)
+    b = _Builder()
     idx = _case_split(b, subformulas(f0), names, {})
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)

@@ -31,7 +31,7 @@ from .formula import (
     atoms_of,
     subformulas,
 )
-from .parser import Dialect, negation_symbol, operator_symbol
+from .parser import Dialect, render
 
 Assignment = dict[str, int]
 
@@ -145,65 +145,53 @@ class TruthTable:
     final_index: int
 
 
-def _header(f: Formula, dialect: Dialect) -> list[list]:
-    """The table's columns in reading order, as [path, node, header cell].
+def _columns(f: Formula) -> Iterator[tuple[Path, Formula]]:
+    """The table's columns in reading order, as (path, node).
 
     One column per atom and per binary connective; a run of negations
     directly above a node is folded into that node's column, so its path
-    and node are those of the outermost negation of the run.  Cells carry
-    the symbol of their column; negations and opening parentheses attach
-    to the cell that follows them, closing parentheses to the cell before.
-    The outermost parenthesis pair is left off, as in print.
+    and node are those of the outermost negation of the run.
     """
-    neg = negation_symbol(dialect)
-    columns: list[list] = []
-    pending = ""
-    # (path, node, None) reads the occurrence at path, (path, node, symbol)
-    # is the column of a connective whose left operand has been read, and
-    # None closes a parenthesis
-    todo: list = [((), f, None)]
+    # (path, node, False) reads the occurrence at path; (path, node, True)
+    # is the column of a connective whose left operand has been read
+    todo = [((), f, False)]
     while todo:
-        item = todo.pop()
-        if item is None:
-            columns[-1][2] += ")"
-            continue
-        top, node, symbol = item
-        if symbol is None:
-            path, sub = top, node
-            while isinstance(sub, Not):
-                pending += neg
-                path += (Step.CHILD,)
-                sub = sub.child
-            if isinstance(sub, Bin):
-                if path:
-                    pending += "("
-                    todo.append(None)
-                todo += (
-                    (path + (Step.RIGHT,), sub.right, None),
-                    (top, node, operator_symbol(sub.op, dialect)),
-                    (path + (Step.LEFT,), sub.left, None),
-                )
-                continue
-            symbol = sub.name
-        columns.append([top, node, pending + symbol])
-        pending = ""
-    return columns
+        top, node, read = todo.pop()
+        path, sub = top, node
+        while isinstance(sub, Not):
+            path += (Step.CHILD,)
+            sub = sub.child
+        if isinstance(sub, Bin) and not read:
+            todo += (
+                (path + (Step.RIGHT,), sub.right, False),
+                (top, node, True),
+                (path + (Step.LEFT,), sub.left, False),
+            )
+        else:
+            yield top, node
 
 
 def table_labels(f: Formula, dialect: Dialect = Dialect.UNICODE) -> list[str]:
-    """Header cells aligned with the table columns."""
-    return [cell for _, _, cell in _header(f, dialect)]
+    """Header cells aligned with the table columns: the canonical text cut
+    at its spaces, which ``render`` puts only around binary connectives.
+
+    So a cell is one atom or connective, negations and opening parentheses
+    attached to the cell that follows them, closing parentheses to the cell
+    before.  The outermost parenthesis pair is left off, as in print.
+    """
+    text = render(f, dialect)
+    return (text[1:-1] if isinstance(f, Bin) else text).split(" ")
 
 
 def truth_table(f: Formula) -> TruthTable:
     atoms = atoms_of(f)
     nodes = subformulas(f)
-    header = _header(f, Dialect.UNICODE)
-    columns = [Column(path, []) for path, _, _ in header]
+    header = list(_columns(f))
+    columns = [Column(path, []) for path, _ in header]
     for _, cols, full in _blocks(atoms):
         width = full.bit_length()
         values = _fill_columns(nodes, cols, full)
-        for col, (_, node, _) in zip(columns, header):
+        for col, (_, node) in zip(columns, header):
             bits = format(values[node], f"0{width}b")[::-1]
             col.values += bits.encode().translate(_DIGITS)
     final_index = next(i for i, c in enumerate(columns) if c.path == ())

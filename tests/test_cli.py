@@ -155,6 +155,25 @@ def test_prove_json_format(tmp_path):
     assert verify.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--main-results", "-o", "x.prf"],
+        ["--main-results", "(p or !p)"],
+        ["(p or !p)", "-d", "out"],
+    ],
+    ids=["main-results-with-out", "main-results-with-formula", "formula-with-dir"],
+)
+def test_prove_rejects_an_argument_it_would_ignore(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prove", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: plogic ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prove_non_tautology_exits_3_with_countermodel():
     result = run_cli("prove", "(p and q)")
     assert result.returncode == 3

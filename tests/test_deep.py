@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from plogic import Atom, Bin, Not, Operator, parse, render
+from plogic import Atom, Bin, Dialect, Not, Operator, parse, render, table_labels, truth_table
 from plogic.proof import check_proof, prove_tautology
 from test_cli import run_cli
 
@@ -77,6 +77,18 @@ def test_table_deep_negations(tmp_path):
     out = json.loads(result.stdout)
     assert [c["path"] for c in out["columns"]] == [""]
     assert out["final"] == [1, 0]
+
+
+@pytest.mark.parametrize("kind", ["negations", "mixed"])
+def test_deep_header_is_the_canonical_text_cut_at_its_spaces(kind):
+    f = parse(DEEP) if kind == "negations" else _mixed()[0]
+    columns = truth_table(f).columns
+    for dialect in Dialect:
+        text = render(f, dialect)
+        labels = table_labels(f, dialect)
+        assert " ".join(labels) == (text[1:-1] if isinstance(f, Bin) else text)
+        assert all(labels)
+        assert len(labels) == len(columns)
 
 
 def test_relate_deep_negations(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import plogic.proof.prover
 from plogic import Not, is_tautology, parse
 from plogic.errors import NotATautology, ProofTooLarge, TooManyAtoms
 from plogic.proof import (
@@ -47,9 +48,10 @@ def test_atom_limit():
         prove_tautology(Bin(Operator.OR, wide, Not(Atom("x0"))))
 
 
-def test_line_guardrail():
-    with pytest.raises(ProofTooLarge):
-        prove_tautology(parse(M_TEXTS[1]), max_lines=100)
+def test_line_guardrail(monkeypatch):
+    monkeypatch.setattr(plogic.proof.prover, "MAX_PROOF_LINES", 100)
+    with pytest.raises(ProofTooLarge, match="^proof exceeds the 100-line guardrail$"):
+        prove_tautology(parse(M_TEXTS[1]))
 
 
 def test_deterministic_output():

@@ -3,10 +3,12 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plogic import (
     Atom,
     Bin,
+    Dialect,
     Not,
     Operator,
     atoms_of,
@@ -19,6 +21,7 @@ from plogic import (
     op_value,
     parse,
     render,
+    table_labels,
     truth_table,
 )
 from plogic.cli import main as cli_main
@@ -123,6 +126,25 @@ class TestTruthTable:
             tt = truth_table(f)
             assert len(tt.columns) == symbol_count(f)
             assert len(table_labels(f)) == len(tt.columns)
+
+    @given(formulas(max_depth=4), st.sampled_from(list(Dialect)))
+    @settings(max_examples=150)
+    def test_header_is_the_canonical_text_cut_at_its_spaces(self, f, dialect):
+        text = render(f, dialect)
+        labels = table_labels(f, dialect)
+        assert " ".join(labels) == (text[1:-1] if isinstance(f, Bin) else text)
+        assert all(labels)
+        columns = truth_table(f).columns
+        assert len(labels) == len(columns)
+        for label, col in zip(labels, columns):  # each cell names its column's symbol
+            node = subformula_at(f, col.path)
+            while isinstance(node, Not):
+                node = node.child
+            if isinstance(node, Atom):
+                symbol = node.name
+            else:
+                symbol = render(Bin(node.op, P, P), dialect).split(" ")[1]
+            assert label.strip("!¬()") == symbol
 
     def test_atom_guard(self):
         f = Atom("a0")
