@@ -300,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     args = top.parse_args(argv)
     if args.command == "transform" and args.rule == "upsilon-inv" and not args.trace:
         top.error("upsilon-inv requires --trace")
+    if args.command == "transform" and args.trace and not args.rule.startswith("upsilon"):
+        top.error(f"{args.rule} takes no --trace")
     if args.command == "prove" and not args.main_results and not args.formula:
         top.error("prove needs a formula or --main-results")
     if args.command == "prove" and args.main_results and (args.formula or args.out):

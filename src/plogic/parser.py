@@ -153,8 +153,17 @@ def parse(text: str) -> Formula:
             negations, left, op = stack.pop()
 
 
-def render(f: Formula, dialect: Dialect = Dialect.ASCII) -> str:
-    """Fully parenthesized canonical text; `parse(render(f, d)) == f`."""
+def render(
+    f: Formula, dialect: Dialect = Dialect.ASCII, texts: dict[Formula, str] | None = None
+) -> str:
+    """Fully parenthesized canonical text; `parse(render(f, d)) == f`.
+
+    ``texts`` lets calls share work: it maps formulas to their text in
+    ``dialect``, a node found there is written as one piece, and ``f``'s
+    text is stored there.
+    """
+    if texts is None:
+        texts = {}
     infix = _INFIX[dialect]
     neg = _NEG[dialect]
     out = []
@@ -166,10 +175,13 @@ def render(f: Formula, dialect: Dialect = Dialect.ASCII) -> str:
             out.append(node)
         elif kind is Atom:
             out.append(node.name)
+        elif (text := texts.get(node)) is not None:
+            out.append(text)
         elif kind is Not:
             out.append(neg)
             todo.append(node.child)
         else:
             out.append("(")
             todo += (")", node.right, infix[node.op], node.left)
-    return "".join(out)
+    text = texts[f] = "".join(out)
+    return text

@@ -12,6 +12,16 @@ JSON object ``{"removed_negations": ["CL", ...]}``, one path string per
 removed negation, in removal order.  Loading checks every field; a
 malformed one raises a ParseError that names it (``lines[3].just.direction``
 in JSON, ``line 4`` in text, ``removed_negations[1]`` in a trace).
+
+Proof lines share most of their subformulas, so each call keeps a memo,
+and nothing outlives the call.  A dump renders each formula it writes
+once, through ``render``'s ``texts`` map, and later lines write it as one
+piece.  A load maps the canonical text of each node it has read to the
+node, so a formula spelled before is looked up, not parsed; an axiom
+line's instance is added first, so its formula is usually a hit too.  A
+deep formula's node texts sum to O(nodes × depth), so that map stops
+growing at twice the length of the formula text read; past that, a
+formula is simply parsed.
 """
 
 from __future__ import annotations
@@ -19,10 +29,11 @@ from __future__ import annotations
 import json
 import re
 
-from ..errors import ParseError, PathError
-from ..formula import Formula, Operator, Path, path_from_str, path_to_str
+from ..errors import MissingMetavariable, ParseError, PathError
+from ..formula import Formula, Operator, Path, path_from_str, path_to_str, subformulas
 from ..parser import parse, render
 from ..transforms import EncryptionTrace
+from .axioms import axiom_instance
 from .objects import (
     AxiomJust,
     DefJust,
@@ -34,15 +45,16 @@ from .objects import (
     axiom_just,
 )
 
-_LINE_RE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*?)\s*$")
+# On a stripped line; the formula, group 2, still needs its right end stripped.
+_LINE_RE = re.compile(r"(\d+)\.\s*([^;]*);\s*(.*)")
 _AXIOM_RE = re.compile(r"AX(\d+)\s*\[(.*)\]\s*$")
 _MP_RE = re.compile(r"MP\s+(\d+)\s*,\s*(\d+)\s*$")
 _DEF_RE = re.compile(r"DEF\s+(\w+)\s+(UNFOLD|FOLD)\s+@\s+(\S+)\s*$")
 
 
-def _just_to_text(just: Justification) -> str:
+def _just_to_text(just: Justification, texts: dict[Formula, str]) -> str:
     if isinstance(just, AxiomJust):
-        bindings = ", ".join(f"{v}:={render(f)}" for v, f in just.subst)
+        bindings = ", ".join(f"{v}:={render(f, texts=texts)}" for v, f in just.subst)
         return f"AX{just.schema} [{bindings}]"
     if isinstance(just, MPJust):
         return f"MP {just.major},{just.minor}"
@@ -59,11 +71,65 @@ def _number(digits: str, where: str) -> int:
         raise ParseError(f"{where}: number too long ({len(digits)} digits)") from None
 
 
-def _formula(text: str, where: str) -> Formula:
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise type(exc)(f"{where}: {exc}", exc.position) from None
+_TEXT_BUDGET = 2  # a load's memo keys, in characters per formula character read
+
+
+class _Known:
+    """One load's map from canonical text to node, so that a formula whose
+    text the file has spelled before is looked up instead of parsed again.
+
+    Every key is ``render`` output, so a hit is exactly what ``parse`` would
+    return; any other spelling misses and is parsed.  Each parsed formula
+    adds all its nodes.  Per-node texts cost O(nodes × depth), so adding
+    stops while the keys' summed length is over ``_TEXT_BUDGET`` times the
+    formula text read so far, and later misses are simply parsed.
+    """
+
+    def __init__(self):
+        self.texts: dict[Formula, str] = {}
+        self.nodes: dict[str, Formula] = {}
+        self.budget = 0
+
+    def formula(self, text: str, where: str) -> Formula:
+        """``parse(text)``, with ``where`` prefixing an error."""
+        self.budget += _TEXT_BUDGET * len(text)
+        node = self.nodes.get(text)
+        if node is None:
+            try:
+                node = parse(text)
+            except ParseError as exc:
+                raise type(exc)(f"{where}: {exc}", exc.position) from None
+            self.learn(node)
+        return node
+
+    def line(self, text: str, decode_just, where: str) -> tuple[Formula, Justification]:
+        """A line's formula, spelled ``text``, and the justification that
+        ``decode_just()`` reads; when both are malformed, the formula's
+        error is raised.  An axiom line first adds the instance its
+        justification names, so a line that spells it is a hit: a cache,
+        while the checker still compares the two."""
+        try:
+            just = decode_just()
+        except ParseError:
+            self.formula(text, where)
+            raise
+        if isinstance(just, AxiomJust):
+            try:
+                self.learn(axiom_instance(just.schema, just.subst_map()))
+            except (ValueError, MissingMetavariable):
+                pass  # no such instance; the checker rejects the line
+        return self.formula(text, where), just
+
+    def learn(self, f: Formula) -> None:
+        """Map the text of each node of ``f`` to the node, within budget."""
+        if self.budget <= 0:
+            return
+        for node in subformulas(f, self.texts):
+            text = render(node, texts=self.texts)  # its children are there
+            self.nodes[text] = node
+            self.budget -= len(text)
+            if self.budget <= 0:
+                return
 
 
 def _path(text: str, where: str) -> Path:
@@ -83,7 +149,7 @@ def _def_just(name: str, direction: str, path: str, where: str) -> DefJust:
     return DefJust(Operator[name], _path(path, f"{where}path"), Direction[direction])
 
 
-def _just_from_text(text: str, where: str) -> Justification:
+def _just_from_text(text: str, where: str, known: _Known) -> Justification:
     m = _AXIOM_RE.match(text)
     if m:
         subst = {}
@@ -94,7 +160,7 @@ def _just_from_text(text: str, where: str) -> Justification:
                 var = var.strip()
                 if var in subst:
                     raise ParseError(f"{where}: duplicate binding for {var}")
-                subst[var] = _formula(formula_text, where)
+                subst[var] = known.formula(formula_text, where)
         return axiom_just(_number(m.group(1), where), subst)
     m = _MP_RE.match(text)
     if m:
@@ -109,14 +175,16 @@ def _just_from_text(text: str, where: str) -> Justification:
 
 
 def proof_to_text(proof: Proof) -> str:
-    out = [
-        f"{line.index}. {render(line.formula)} ; {_just_to_text(line.just)}"
-        for line in proof.lines
-    ]
-    return "\n".join(out) + "\n"
+    texts: dict[Formula, str] = {}  # each formula's text, shared by the lines
+    out = []
+    for line in proof.lines:
+        just = _just_to_text(line.just, texts)  # the terms first, for the formula
+        out += (str(line.index), ". ", render(line.formula, texts=texts), " ; ", just, "\n")
+    return "".join(out)
 
 
 def proof_from_text(text: str) -> Proof:
+    known = _Known()
     lines: list[ProofLine] = []
     for number, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
@@ -126,24 +194,22 @@ def proof_from_text(text: str) -> Proof:
         m = _LINE_RE.match(raw)
         if m is None:
             raise ParseError(f"{where}: unparseable proof line {raw!r}")
-        lines.append(
-            ProofLine(
-                _number(m.group(1), where),
-                _formula(m.group(2), where),
-                _just_from_text(m.group(3), where),
-            )
+        index = _number(m.group(1), where)
+        f, just = known.line(
+            m.group(2).rstrip(), lambda: _just_from_text(m.group(3), where, known), where
         )
+        lines.append(ProofLine(index, f, just))
     if not lines:
         raise ParseError("proof file has no lines")
     return Proof(goal=lines[-1].formula, lines=lines)
 
 
-def _just_to_dict(just: Justification) -> dict:
+def _just_to_dict(just: Justification, texts: dict[Formula, str]) -> dict:
     if isinstance(just, AxiomJust):
         return {
             "kind": "axiom",
             "schema": just.schema,
-            "subst": {v: render(f) for v, f in just.subst},
+            "subst": {v: render(f, texts=texts) for v, f in just.subst},
         }
     if isinstance(just, MPJust):
         return {"kind": "mp", "major": just.major, "minor": just.minor}
@@ -172,7 +238,7 @@ def _field(data: dict, key: str, kind: type, where: str):
     return value
 
 
-def _just_from_dict(data: dict, where: str) -> Justification:
+def _just_from_dict(data: dict, where: str, known: _Known) -> Justification:
     kind = _field(data, "kind", str, where)
     if kind == "axiom":
         schema = _field(data, "schema", int, where)
@@ -180,7 +246,7 @@ def _just_from_dict(data: dict, where: str) -> Justification:
         for var, text in _field(data, "subst", dict, where).items():
             if type(var) is not str or type(text) is not str:
                 raise ParseError(f"{where}.subst: expected strings mapped to strings")
-            subst[var] = _formula(text, f"{where}.subst.{var}")
+            subst[var] = known.formula(text, f"{where}.subst.{var}")
         return axiom_just(schema, subst)
     if kind == "mp":
         return MPJust(_field(data, "major", int, where), _field(data, "minor", int, where))
@@ -195,37 +261,35 @@ def _just_from_dict(data: dict, where: str) -> Justification:
 
 
 def proof_to_dict(proof: Proof) -> dict:
-    return {
-        "goal": render(proof.goal),
-        "lines": [
-            {
-                "index": line.index,
-                "formula": render(line.formula),
-                "just": _just_to_dict(line.just),
-            }
-            for line in proof.lines
-        ],
-    }
+    texts: dict[Formula, str] = {}  # each formula's text, shared by the lines
+    lines = []
+    for line in proof.lines:
+        just = _just_to_dict(line.just, texts)  # the terms first, for the formula
+        lines.append(
+            {"index": line.index, "formula": render(line.formula, texts=texts), "just": just}
+        )
+    return {"goal": render(proof.goal, texts=texts), "lines": lines}
 
 
 def proof_from_dict(data: dict) -> Proof:
     if type(data) is not dict:
         raise ParseError("proof: expected an object")
+    known = _Known()
     lines = []
     for k, entry in enumerate(_field(data, "lines", list, "")):
         where = f"lines[{k}]"
         if type(entry) is not dict:
             raise ParseError(f"{where}: expected an object")
-        lines.append(
-            ProofLine(
-                _field(entry, "index", int, where),
-                _formula(_field(entry, "formula", str, where), f"{where}.formula"),
-                _just_from_dict(_field(entry, "just", dict, where), f"{where}.just"),
-            )
+        index = _field(entry, "index", int, where)
+        f, just = known.line(
+            _field(entry, "formula", str, where),
+            lambda: _just_from_dict(_field(entry, "just", dict, where), f"{where}.just", known),
+            f"{where}.formula",
         )
+        lines.append(ProofLine(index, f, just))
     if not lines:
         raise ParseError("lines: proof has no lines")
-    goal = _formula(_field(data, "goal", str, ""), "goal")
+    goal = known.formula(_field(data, "goal", str, ""), "goal")
     return Proof(goal=goal, lines=lines)
 
 

@@ -174,6 +174,20 @@ def test_prove_rejects_an_argument_it_would_ignore(monkeypatch, capsys, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rule", ["psi", "psi-inv", "desugar"])
+def test_transform_trace_with_a_rule_that_has_none_is_a_usage_error(
+    monkeypatch, capsys, tmp_path, rule
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", rule, "(p nor q) xor (p nor q)", "-t", "x.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: plogic ")
+    assert err[1].endswith(f"{rule} takes no --trace")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prove_non_tautology_exits_3_with_countermodel():
     result = run_cli("prove", "(p and q)")
     assert result.returncode == 3

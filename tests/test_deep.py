@@ -10,6 +10,8 @@ import copy
 import itertools
 import json
 import pickle
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -102,7 +104,8 @@ def test_relate_deep_negations(tmp_path):
 @pytest.mark.parametrize("rule", ["desugar", "upsilon"])
 def test_transform_deep_negations(tmp_path, rule):
     trace = tmp_path / "t.json"
-    result = run_cli("transform", rule, _write(tmp_path, "f.txt", DEEP), "-t", str(trace))
+    flags = ["-t", str(trace)] if rule == "upsilon" else []
+    result = run_cli("transform", rule, _write(tmp_path, "f.txt", DEEP), *flags)
     assert (result.returncode, result.stdout) == (0, DEEP + "\n")
     if rule == "upsilon":
         assert json.loads(trace.read_text()) == {"removed_negations": []}
@@ -163,6 +166,33 @@ def test_prove_and_check_under_1100_negations():
     assert len(proof.lines) == 8859
     assert proof.lines[-1].formula is goal
     assert check_proof(proof).accepted
+
+
+# A one-line AX2 proof whose metavariable A is 200,000 nested negations
+# (about 600 KB): proof I/O's per-load text memo must stay within a bound,
+# since the canonical texts of all of A's nodes would sum to 2 * 10^10
+# characters.
+_DEEP_AX2 = """
+from plogic.proof import check_proof, load_proof, proof_to_json, proof_to_text
+a = "!" * 200000 + "p"
+text = f"1. ({a} imp ({a} or q)) ; AX2 [A:={a}, B:=q]\\n"
+proof = load_proof(text)
+assert check_proof(proof).accepted
+assert proof_to_text(proof) == text
+assert load_proof(proof_to_json(proof)) == proof
+"""
+
+
+def test_load_check_and_dump_a_600_kb_deep_proof_in_1_gb():
+    limit = 1_000_000 * 1024  # ulimit -v 1000000
+    result = subprocess.run(
+        [sys.executable, "-c", _DEEP_AX2],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("kind", ["negations", "spine"])

@@ -1,18 +1,25 @@
+import gc
+import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plogic import parse, upsilon_decrypt, upsilon_encrypt
+from plogic import Bin, Dialect, parse, render, upsilon_decrypt, upsilon_encrypt
 from plogic.errors import ParseError
+from plogic.formula import path_to_str
 from plogic.proof import (
+    AxiomJust,
     CheckResult,
+    MPJust,
     check_proof,
     load_proof,
     proof_from_json,
     proof_from_text,
     proof_to_json,
     proof_to_text,
+    prove_main_results,
     prove_tautology,
 )
 from plogic.proof.io import trace_from_json, trace_to_dict
@@ -270,3 +277,173 @@ def test_trace_round_trips_through_json(text):
     back = trace_from_json(json.dumps(trace_to_dict(trace)))
     assert back == trace
     assert upsilon_decrypt(stripped, back) is f
+
+
+# Proof I/O memoises formula texts within one call.  These tests pin that
+# the memo is a cache: a dump is the per-line rendering, and a load returns
+# exactly what ``parse`` returns for each written formula.
+
+
+def _reference_text(proof, spell=render):
+    """The text format written line by line, each formula spelled by ``spell``."""
+    out = []
+    for line in proof.lines:
+        just = line.just
+        if isinstance(just, AxiomJust):
+            rule = f"AX{just.schema} [" + ", ".join(f"{v}:={spell(f)}" for v, f in just.subst) + "]"
+        elif isinstance(just, MPJust):
+            rule = f"MP {just.major},{just.minor}"
+        else:
+            rule = f"DEF {just.name.name} {just.direction.value} @ {path_to_str(just.path) or '.'}"
+        out.append(f"{line.index}. {spell(line.formula)} ; {rule}\n")
+    return "".join(out)
+
+
+def _reference_dict(proof, spell=render):
+    """The JSON format's document, each formula spelled by ``spell``."""
+    lines = []
+    for line in proof.lines:
+        just = line.just
+        if isinstance(just, AxiomJust):
+            rule = {"kind": "axiom", "schema": just.schema,
+                    "subst": {v: spell(f) for v, f in just.subst}}
+        elif isinstance(just, MPJust):
+            rule = {"kind": "mp", "major": just.major, "minor": just.minor}
+        else:
+            rule = {"kind": "def", "name": just.name.name, "direction": just.direction.value,
+                    "path": path_to_str(just.path)}
+        lines.append({"index": line.index, "formula": spell(line.formula), "just": rule})
+    return {"goal": spell(proof.goal), "lines": lines}
+
+
+def _parse_every_formula(text):
+    """Per canonical text line, ``parse`` of its formula and of its axiom
+    substitution terms (a tuple of (metavariable, formula), else None).
+    Each distinct text is parsed once."""
+    parsed_texts = {}
+
+    def parsed(t):
+        if t not in parsed_texts:
+            parsed_texts[t] = parse(t)
+        return parsed_texts[t]
+
+    lines = []
+    for line in text.splitlines():
+        head, _, rule = line.partition(" ; ")
+        subst = None
+        if rule.startswith("AX"):
+            bindings = rule[rule.index("[") + 1 : -1].split(", ")
+            subst = tuple((v, parsed(t)) for v, _, t in (b.partition(":=") for b in bindings))
+        lines.append((parsed(head.partition(". ")[2]), subst))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def main_results():
+    return prove_main_results()
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3, "fuzz"], ids=["a", "b", "c", "d", "fuzz"])
+def test_dumps_and_loads_match_per_formula_references(main_results, which):
+    proof = FUZZ_PROOF if which == "fuzz" else main_results[which]
+    text = proof_to_text(proof)
+    assert text == _reference_text(proof)
+    as_json = proof_to_json(proof)
+    assert as_json == json.dumps(_reference_dict(proof), indent=2) + "\n"
+    reference = _parse_every_formula(text)
+    for loaded in (load_proof(text), load_proof(as_json)):
+        assert len(loaded.lines) == len(reference)
+        for line, (formula, subst) in zip(loaded.lines, reference):
+            assert line.formula is formula
+            if subst is not None:
+                assert all(a is b for (_, a), (_, b) in zip(line.just.subst, subst))
+        assert loaded.goal is reference[-1][0]
+
+
+SMALL_PROOF = prove_tautology(parse("(p or q) imp (q or p)"))
+
+_SPELLINGS = {
+    "unicode": lambda f: render(f, Dialect.UNICODE),
+    "not": lambda f: render(f).replace("!", "not "),
+    "spaces": lambda f: render(f).replace("(", "( ").replace(")", " )"),
+    "no-outer-pair": lambda f: render(f)[1:-1] if isinstance(f, Bin) else render(f),
+}
+
+
+@pytest.mark.parametrize("proof", [FUZZ_PROOF, SMALL_PROOF], ids=["fuzz", "small"])
+@pytest.mark.parametrize("spelling", [*_SPELLINGS, "every-other"])
+def test_non_canonical_spellings_load_to_the_same_proof(proof, spelling):
+    if spelling == "every-other":  # hits and misses interleave
+        calls = itertools.count()
+        spell = lambda f: _SPELLINGS["unicode"](f) if next(calls) % 2 else render(f)
+    else:
+        spell = _SPELLINGS[spelling]
+    text = _reference_text(proof, spell)
+    assert text != proof_to_text(proof)
+    assert proof_from_text(text) == proof
+    assert proof_from_json(json.dumps(_reference_dict(proof, spell))) == proof
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_an_axiom_line_loads_its_written_formula_not_the_instance(as_json):
+    k = next(i for i, line in enumerate(FUZZ_PROOF.lines) if isinstance(line.just, AxiomJust))
+    written = parse(render(FUZZ_PROOF.lines[k].formula).replace(" or ", " and ", 1))
+    swapped = lambda f: render(written) if f is FUZZ_PROOF.lines[k].formula else render(f)
+    if as_json:
+        loaded = proof_from_json(json.dumps(_reference_dict(FUZZ_PROOF, swapped)))
+    else:
+        loaded = proof_from_text(_reference_text(FUZZ_PROOF, swapped))
+    assert loaded.lines[k].formula is written
+    verdict = check_proof(loaded)
+    assert (verdict.accepted, verdict.line, verdict.reason) == (
+        False, k + 1, "NotAnAxiomInstance"
+    )
+
+
+# A malformed formula's error wins over a malformed justification's, with
+# the message and position loading gave before the memo.
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("1. (p or ; AX2 [A:=%, B:=q]", "line 1: expected a formula at position 5", 5),
+        ("1. (p or q ; ZAP 3", "line 1: missing ')' at position 7", 7),
+        ("1. p q ; AX2 [A:=p, A:=q]", "line 1: unexpected 'q' at position 2", 2),
+        ("1. (p or) ; DEF FOO UNFOLD @ .", "line 1: unmatched ')' at position 5", 5),
+    ],
+)
+def test_a_bad_formula_beside_a_bad_text_justification_reports_the_formula(
+    text, message, position
+):
+    with pytest.raises(ParseError) as exc:
+        proof_from_text(text)
+    assert (str(exc.value), exc.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "formula, just, message, position",
+    [
+        ("p or", {"kind": "premise"}, "expected a formula at position 4", 4),
+        ("(p or", {"kind": "axiom", "schema": 2, "subst": {"A": "%", "B": "q"}},
+         "expected a formula at position 5", 5),
+        ("p )", {}, "unmatched ')' at position 2", 2),
+    ],
+)
+def test_a_bad_formula_beside_a_bad_json_justification_reports_the_formula(
+    formula, just, message, position
+):
+    document = {"goal": "p", "lines": [{"index": 1, "formula": formula, "just": just}]}
+    with pytest.raises(ParseError) as exc:
+        proof_from_json(json.dumps(document))
+    assert (str(exc.value), exc.value.position) == (f"lines[0].formula: {message}", position)
+
+
+def test_a_load_keeps_no_formula_alive_after_its_proof_is_dropped():
+    # Atoms no other test uses, so that only this proof holds these nodes.
+    text = proof_to_text(prove_tautology(parse("!(percall and !percall)")))
+    proof = load_proof(text)
+    assert proof_to_text(proof) == text
+    assert proof_to_json(proof)
+    refs = [weakref.ref(line.formula) for line in proof.lines]
+    del proof
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
