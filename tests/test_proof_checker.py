@@ -298,3 +298,99 @@ class TestChecker:
 
     def test_rejects_empty_proof(self):
         assert not check_proof(Proof(goal=P, lines=[])).accepted
+
+
+_AX1_P = _line(1, "(p or p) imp p", _ax(1, A="p"))
+_UNFOLD_IMP = DefJust(Operator.IMP, (), Direction.UNFOLD)
+
+# (lines, reason, detail) for every detail a DEF or MP line can be rejected
+# with; ``verify`` prints the detail.  The last line is the one rejected.
+REJECTION_DETAILS = [
+    (
+        [_line(1, "!(p or p) or p", _UNFOLD_IMP)],
+        checker.DEF_MISMATCH,
+        "no preceding line to rewrite",
+    ),
+    (
+        [_AX1_P, _line(2, "(p or p) imp p", DefJust(Operator.OR, (Step.RIGHT,), Direction.FOLD))],
+        checker.DEF_MISMATCH,
+        "or is primitive, not defined",
+    ),
+    (
+        # the primitive name is reported before the path is walked
+        [_AX1_P, _line(2, "(p or p) imp p", DefJust(Operator.OR, (Step.CHILD,), Direction.UNFOLD))],
+        checker.DEF_MISMATCH,
+        "or is primitive, not defined",
+    ),
+    (
+        [_AX1_P, _line(2, "!(p or p) or p", DefJust(Operator.IMP, (Step.LEFT, Step.LEFT, Step.LEFT), Direction.UNFOLD))],
+        checker.DEF_MISMATCH,
+        "path LLL not valid in line 1",
+    ),
+    (
+        [_AX1_P, _line(2, "!(p or p) or p", DefJust(Operator.IMP, (Step.LEFT,), Direction.UNFOLD))],
+        checker.DEF_MISMATCH,
+        "subformula at path is not a imp application",
+    ),
+    (
+        [_AX1_P, _line(2, "!(p or p) or p", DefJust(Operator.AND, (), Direction.UNFOLD))],
+        checker.DEF_MISMATCH,
+        "subformula at path is not a and application",
+    ),
+    (
+        [_AX1_P, _line(2, "(p imp p) imp p", DefJust(Operator.IMP, (Step.LEFT,), Direction.FOLD))],
+        checker.DEF_MISMATCH,
+        "subformula at path does not match the imp definition",
+    ),
+    (
+        [_AX1_P, _line(2, "!(p or q) or p", _UNFOLD_IMP)],
+        checker.DEF_MISMATCH,
+        "formula is not the stated rewrite of the preceding line",
+    ),
+    (
+        [
+            _line(1, "(p or q) imp (q or p)", _ax(3, A="p", B="q")),
+            _line(2, "q or p", MPJust(2, 1)),
+        ],
+        checker.BAD_MP_REFERENCE,
+        "references 2,1 must be earlier lines",
+    ),
+    (
+        [
+            _AX1_P,
+            _line(2, "!(p or p) or p", _UNFOLD_IMP),
+            _line(3, "(p nor p) or p", DefJust(Operator.NOR, (Step.LEFT,), Direction.FOLD)),
+            _line(4, "p", MPJust(3, 1)),
+        ],
+        checker.MP_SHAPE_MISMATCH,
+        "line 3 is not an implication",
+    ),
+    (
+        [
+            _line(1, "(p or q) imp (q or p)", _ax(3, A="p", B="q")),
+            _line(2, "(q or p) imp (p or q)", _ax(3, A="q", B="p")),
+            _line(3, "q or p", MPJust(1, 2)),
+        ],
+        checker.MP_SHAPE_MISMATCH,
+        "line 2 does not match the antecedent of line 1",
+    ),
+    (
+        [
+            _AX1_P,
+            _line(2, "((p or p) imp p) imp (((p or p) imp p) or q)", _ax(2, A="(p or p) imp p", B="q")),
+            _line(3, "((p or p) imp p) or p", MPJust(2, 1)),
+        ],
+        checker.MP_SHAPE_MISMATCH,
+        "formula does not match the consequent of the major premise",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "lines,reason,detail", REJECTION_DETAILS, ids=[d for _, _, d in REJECTION_DETAILS]
+)
+def test_rejection_details(lines, reason, detail):
+    result = check_proof(Proof(goal=lines[-1].formula, lines=lines))
+    assert (result.accepted, result.line, result.reason, result.detail) == (
+        False, len(lines), reason, detail,
+    )
