@@ -47,7 +47,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, the shell's status for a closed pipe
 
 def _read_text(path: str) -> str:
     try:
-        return FsPath(path).read_text(encoding="utf-8")
+        # a leading byte order mark is skipped, after decoding so offsets count it
+        return FsPath(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

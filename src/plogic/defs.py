@@ -11,11 +11,16 @@ is an abbreviation, rewritten one step at a time by DEF proof lines:
     a nimp b  =  !(a imp b)
     a xor b   =  !(a iff b)
     a xiff b  =  a iff b
+
+``rewrite`` is the DEF rule: the prover writes, and the checker replays,
+every DEF line with it.
 """
 
 from __future__ import annotations
 
-from .formula import Atom, Bin, Formula, Not, Operator
+import enum
+
+from .formula import Atom, Bin, Formula, Not, Operator, Path, replace_at, subformula_at
 
 DEFINED_OPS = (
     Operator.IMP,
@@ -27,6 +32,11 @@ DEFINED_OPS = (
     Operator.XOR,
     Operator.UPDOWN,
 )
+
+
+class Direction(enum.Enum):
+    UNFOLD = "UNFOLD"
+    FOLD = "FOLD"
 
 
 def definiens(op: Operator, a: Formula, b: Formula) -> Formula:
@@ -74,3 +84,22 @@ def match_definiens(op: Operator, f: Formula) -> tuple[Formula, Formula] | None:
         else:
             return None
     return bound["a"], bound["b"]
+
+
+def rewrite(f: Formula, name: Operator, path: Path, direction: Direction) -> Formula:
+    """``f`` after one definitional step on ``name`` at ``path``; raises
+    ``ValueError`` if the step does not apply, ``PathError`` if ``path``
+    selects nothing in ``f``."""
+    if name not in DEFINED_OPS:
+        raise ValueError(f"{name.value} is primitive, not defined")
+    sub = subformula_at(f, path)
+    if direction is Direction.UNFOLD:
+        if not (isinstance(sub, Bin) and sub.op is name):
+            raise ValueError(f"subformula at path is not a {name.value} application")
+        new = definiens(name, sub.left, sub.right)
+    else:
+        operands = match_definiens(name, sub)
+        if operands is None:
+            raise ValueError(f"subformula at path does not match the {name.value} definition")
+        new = Bin(name, *operands)
+    return replace_at(f, path, new)

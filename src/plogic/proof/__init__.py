@@ -1,6 +1,6 @@
 from .axioms import axiom_instance
 from .checker import CheckResult, check_proof
-from ..defs import DEFINED_OPS, definiens, match_definiens
+from ..defs import DEFINED_OPS, definiens, match_definiens, rewrite
 from .io import (
     load_proof,
     proof_from_json,

@@ -6,7 +6,8 @@
     AX4  (B imp C) imp ((A or B) imp (A or C))
 
 Instances are spelled with ``imp`` nodes; ``x imp y`` is one DEF step
-away from its primitive form ``!x or y``.
+away from its primitive form ``!x or y``.  The prover builds its AX and
+MP lines, and the checker replays them, with these functions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import MissingMetavariable
-from ..formula import Bin, Formula, Operator
+from ..formula import Bin, Formula, Not, Operator
 
 SCHEMA_METAVARS: dict[int, tuple[str, ...]] = {
     1: ("A",),
@@ -42,3 +43,13 @@ def axiom_instance(schema: int, subst: Mapping[str, Formula]) -> Formula:
     if schema == 3:
         return imp(disj(a, b), disj(b, a))
     return imp(imp(b, c), imp(disj(a, b), disj(a, c)))
+
+
+def major_parts(major: Formula) -> tuple[Formula, Formula] | None:
+    """Antecedent and consequent of the major premise, either spelling."""
+    if isinstance(major, Bin):
+        if major.op is Operator.IMP:
+            return major.left, major.right
+        if major.op is Operator.OR and isinstance(major.left, Not):
+            return major.left.child, major.right
+    return None

@@ -5,6 +5,9 @@ ponens step, or a single definitional rewrite of the line directly above
 it.  The major premise of modus ponens may be spelled either
 ``F imp G`` or ``!F or G``; no other leniency is granted.  The last line
 must equal the proof's goal.
+
+The checker never imports the generator; both take their rules from
+``proof/axioms.py`` and ``defs.py``, which the tests' oracle judges.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..defs import DEFINED_OPS, definiens, match_definiens
+# definiens and match_definiens stay bound for perfbench/spans.py, which wraps them
+from ..defs import definiens, match_definiens, rewrite  # noqa: F401
 from ..errors import MissingMetavariable, PathError
-from ..formula import Bin, Formula, Not, Operator, path_to_str, replace_at, subformula_at
-from .axioms import SCHEMA_METAVARS, axiom_instance
-from .objects import AxiomJust, DefJust, Direction, MPJust, Proof
+from ..formula import path_to_str
+from .axioms import SCHEMA_METAVARS, axiom_instance, major_parts
+from .objects import AxiomJust, DefJust, MPJust, Proof
 
 NOT_AN_AXIOM_INSTANCE = "NotAnAxiomInstance"
 BAD_MP_REFERENCE = "BadMPReference"
@@ -36,19 +40,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.accepted
-
-
-def _major_parts(major: Formula) -> tuple[Formula, Formula] | None:
-    """Antecedent and consequent of the major premise, either spelling."""
-    if isinstance(major, Bin) and major.op is Operator.IMP:
-        return major.left, major.right
-    if (
-        isinstance(major, Bin)
-        and major.op is Operator.OR
-        and isinstance(major.left, Not)
-    ):
-        return major.left.child, major.right
-    return None
 
 
 def check_proof(proof: Proof) -> CheckResult:
@@ -84,7 +75,7 @@ def check_proof(proof: Proof) -> CheckResult:
                     False, k, BAD_MP_REFERENCE,
                     f"references {just.major},{just.minor} must be earlier lines",
                 )
-            parts = _major_parts(lines[just.major - 1].formula)
+            parts = major_parts(lines[just.major - 1].formula)
             if parts is None:
                 return CheckResult(
                     False, k, MP_SHAPE_MISMATCH,
@@ -103,37 +94,17 @@ def check_proof(proof: Proof) -> CheckResult:
                 )
         elif isinstance(just, DefJust):
             if k == 1:
-                return CheckResult(
-                    False, k, DEF_MISMATCH, "no preceding line to rewrite"
-                )
-            if just.name not in DEFINED_OPS:
-                return CheckResult(
-                    False, k, DEF_MISMATCH, f"{just.name.value} is primitive, not defined"
-                )
-            source = lines[k - 2].formula
+                return CheckResult(False, k, DEF_MISMATCH, "no preceding line to rewrite")
             try:
-                sub = subformula_at(source, just.path)
+                rewritten = rewrite(lines[k - 2].formula, just.name, just.path, just.direction)
             except PathError:
                 return CheckResult(
                     False, k, DEF_MISMATCH,
                     f"path {path_to_str(just.path) or '.'} not valid in line {k - 1}",
                 )
-            if just.direction is Direction.UNFOLD:
-                if not (isinstance(sub, Bin) and sub.op is just.name):
-                    return CheckResult(
-                        False, k, DEF_MISMATCH,
-                        f"subformula at path is not a {just.name.value} application",
-                    )
-                rewritten = definiens(just.name, sub.left, sub.right)
-            else:
-                operands = match_definiens(just.name, sub)
-                if operands is None:
-                    return CheckResult(
-                        False, k, DEF_MISMATCH,
-                        f"subformula at path does not match the {just.name.value} definition",
-                    )
-                rewritten = Bin(just.name, operands[0], operands[1])
-            if replace_at(source, just.path, rewritten) != line.formula:
+            except ValueError as exc:
+                return CheckResult(False, k, DEF_MISMATCH, str(exc))
+            if rewritten != line.formula:
                 return CheckResult(
                     False, k, DEF_MISMATCH,
                     "formula is not the stated rewrite of the preceding line",

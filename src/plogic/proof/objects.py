@@ -3,16 +3,11 @@ justifications."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Union
 
+from ..defs import Direction
 from ..formula import Formula, Operator, Path
-
-
-class Direction(enum.Enum):
-    UNFOLD = "UNFOLD"
-    FOLD = "FOLD"
 
 
 @dataclass(frozen=True)

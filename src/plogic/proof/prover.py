@@ -22,7 +22,8 @@ never re-derived.
 
 from __future__ import annotations
 
-from ..defs import definiens, match_definiens
+# match_definiens stays bound for perfbench/spans.py, which wraps it
+from ..defs import definiens, match_definiens, rewrite  # noqa: F401
 from ..errors import NotATautology, ProofTooLarge, TooManyAtoms
 from ..formula import (
     Atom,
@@ -34,12 +35,11 @@ from ..formula import (
     Step,
     atoms_of,
     replace_at,
-    subformula_at,
     subformulas,
 )
 # assignments stays bound for perfbench/spans.py, which wraps it
 from ..semantics import _fill_columns, assignments, first_row  # noqa: F401
-from .axioms import axiom_instance
+from .axioms import axiom_instance, major_parts
 from .objects import (
     DefJust,
     Direction,
@@ -99,23 +99,13 @@ class _Builder:
         return self.emit(f, axiom_just(schema, subst))
 
     def mp(self, major: int, minor: int) -> int:
-        big = self.formula_at(major)
-        small = self.formula_at(minor)
-        if isinstance(big, Bin) and big.op is _IMP and big.left == small:
-            result = big.right
-        elif (
-            isinstance(big, Bin)
-            and big.op is _OR
-            and isinstance(big.left, Not)
-            and big.left.child == small
-        ):
-            result = big.right
-        else:
+        parts = major_parts(self.formula_at(major))
+        if parts is None or parts[0] != self.formula_at(minor):
             raise AssertionError("internal: malformed modus ponens")
-        hit = self.have(result)
+        hit = self.have(parts[1])
         if hit is not None:
             return hit
-        return self.emit(result, MPJust(major, minor))
+        return self.emit(parts[1], MPJust(major, minor))
 
 
 def _copy(b: _Builder, idx: int) -> int:
@@ -128,16 +118,7 @@ def _def_step(
     b: _Builder, source: int, name: Operator, path: Path, direction: Direction
 ) -> int:
     """One definitional rewrite; DEF lines rewrite the line directly above."""
-    src_formula = b.formula_at(source)
-    sub = subformula_at(src_formula, path)
-    if direction is Direction.UNFOLD:
-        assert isinstance(sub, Bin) and sub.op is name
-        new = definiens(name, sub.left, sub.right)
-    else:
-        operands = match_definiens(name, sub)
-        assert operands is not None
-        new = Bin(name, operands[0], operands[1])
-    target = replace_at(src_formula, path, new)
+    target = rewrite(b.formula_at(source), name, path, direction)
     hit = b.have(target)
     if hit is not None:
         return hit

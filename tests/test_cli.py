@@ -1,5 +1,6 @@
 """End-to-end runs of the command line tool."""
 
+import codecs
 import json
 import subprocess
 import sys
@@ -321,14 +322,32 @@ def test_verify_def_step_under_1200_negations(tmp_path):
     ],
     ids=["formula-file", "proof-file", "trace-file"],
 )
-def test_undecodable_file_exits_2_with_one_line(tmp_path, argv):
+@pytest.mark.parametrize(
+    "prefix, offset", [(b"", 5), (codecs.BOM_UTF8, 8)], ids=["plain", "bom"]
+)
+def test_undecodable_file_exits_2_with_one_line(tmp_path, argv, prefix, offset):
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"p or \xff")
+    bad.write_bytes(prefix + b"p or \xff")
     result = run_cli(*(arg.format(bad=bad) for arg in argv))
     assert result.returncode == 2
     assert result.stderr == (
-        f"parse error: {bad}: not UTF-8 text: invalid start byte at byte 5\n"
+        f"parse error: {bad}: not UTF-8 text: invalid start byte at byte {offset}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_a_file_may_start_with_a_byte_order_mark(tmp_path, command):
+    if command == "check":
+        text, arg = "(p or !p)\n", "@{}"
+    else:
+        text, arg = proof_to_text(prove_tautology(parse("p or !p"))), "{}"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    expected = run_cli(command, arg.format(plain))
+    result = run_cli(command, arg.format(marked))
+    assert expected.returncode == 0
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, "")
 
 
 @pytest.mark.parametrize(

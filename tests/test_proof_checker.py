@@ -15,6 +15,7 @@ from plogic.proof import (
     check_proof,
     definiens,
     match_definiens,
+    rewrite,
 )
 from plogic.proof import checker
 
@@ -106,6 +107,8 @@ class TestDefinitions:
                 Bin(node.op, *match_definiens(node.op, subformula_at(unfolded, path))),
             )
             assert refolded == f
+            assert rewrite(f, node.op, path, Direction.UNFOLD) == unfolded
+            assert rewrite(unfolded, node.op, path, Direction.FOLD) == f
             done += 1
 
 
