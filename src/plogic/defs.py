@@ -57,7 +57,7 @@ def definiens(op: Operator, a: Formula, b: Formula) -> Formula:
         return Not(Bin(Operator.IFF, a, b))
     if op is Operator.UPDOWN:
         return Bin(Operator.IFF, a, b)
-    raise ValueError(f"{op} is primitive, not defined")
+    raise ValueError(f"{op.value} is primitive, not defined")
 
 
 # Operand stand-ins that turn a definiens into a pattern.

@@ -133,9 +133,10 @@ def test_upsilon_inv_without_trace_is_a_usage_error():
 
 def test_formula_can_come_from_a_file(tmp_path):
     source = tmp_path / "f.txt"
-    source.write_text("(p ↓ q)\n", encoding="utf-8")
-    result = run_cli("parse", f"@{source}")
-    assert result.stdout.strip() == "(p nor q)"
+    for text in ["(p ↓ q)\n", "\ufeff(p ↓ q)\n"]:  # with and without a byte order mark
+        source.write_text(text, encoding="utf-8")
+        result = run_cli("parse", f"@{source}")
+        assert result.stdout.strip() == "(p nor q)"
 
 
 def test_prove_verify_cycle(tmp_path):
@@ -322,17 +323,15 @@ def test_verify_def_step_under_1200_negations(tmp_path):
     ],
     ids=["formula-file", "proof-file", "trace-file"],
 )
-@pytest.mark.parametrize(
-    "prefix, offset", [(b"", 5), (codecs.BOM_UTF8, 8)], ids=["plain", "bom"]
-)
-def test_undecodable_file_exits_2_with_one_line(tmp_path, argv, prefix, offset):
+def test_undecodable_file_exits_2_with_one_line(tmp_path, argv):
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(prefix + b"p or \xff")
-    result = run_cli(*(arg.format(bad=bad) for arg in argv))
-    assert result.returncode == 2
-    assert result.stderr == (
-        f"parse error: {bad}: not UTF-8 text: invalid start byte at byte {offset}\n"
-    )
+    for prefix, offset in [(b"", 5), (codecs.BOM_UTF8, 8)]:  # offsets count a BOM
+        bad.write_bytes(prefix + b"p or \xff")
+        result = run_cli(*(arg.format(bad=bad) for arg in argv))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"parse error: {bad}: not UTF-8 text: invalid start byte at byte {offset}\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
