@@ -16,10 +16,10 @@ in JSON, ``line 4`` in text, ``removed_negations[1]`` in a trace).
 Proof lines share most of their subformulas, so each call keeps a memo,
 and nothing outlives the call.  A dump renders each formula it writes
 once, through ``render``'s ``texts`` map, and later lines write it as one
-piece.  A load maps the canonical text of each node it has read to the
-node, so a formula spelled before is looked up, not parsed; an axiom
-line's instance is added first, so its formula is usually a hit too.  A
-deep formula's node texts sum to O(nodes × depth), so that map stops
+piece.  A load maps the canonical text of each node that
+``checker.replay`` derives for a line to the node, so a line spelled as
+derived is looked up, not parsed; the loader itself knows no proof rule.
+A deep formula's node texts sum to O(nodes × depth), so that map stops
 growing at twice the length of the formula text read; past that, a
 formula is simply parsed.
 """
@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import re
 
-from ..errors import MissingMetavariable, ParseError, PathError
+from ..errors import ParseError, PathError
 from ..formula import Formula, Operator, Path, path_from_str, path_to_str, subformulas
 from ..parser import parse, render
 from ..transforms import EncryptionTrace
-from .axioms import axiom_instance
+from .checker import CheckResult, replay
 from .objects import (
     AxiomJust,
     DefJust,
@@ -45,6 +45,7 @@ from .objects import (
     axiom_just,
 )
 
+_NEWLINE_RE = re.compile(r"\r\n?|\n")  # universal newlines; str.splitlines adds \f, \x85, ...
 # On a stripped line; the formula, group 2, still needs its right end stripped.
 _LINE_RE = re.compile(r"(\d+)\.\s*([^;]*);\s*(.*)")
 _AXIOM_RE = re.compile(r"AX(\d+)\s*\[(.*)\]\s*$")
@@ -75,11 +76,11 @@ _TEXT_BUDGET = 2  # a load's memo keys, in characters per formula character read
 
 
 class _Known:
-    """One load's map from canonical text to node, so that a formula whose
-    text the file has spelled before is looked up instead of parsed again.
+    """One load's map from canonical text to node, so that a formula that
+    ``replay`` derives from earlier lines is looked up instead of parsed.
 
     Every key is ``render`` output, so a hit is exactly what ``parse`` would
-    return; any other spelling misses and is parsed.  Each parsed formula
+    return; any other spelling misses and is parsed.  Each derived formula
     adds all its nodes.  Per-node texts cost O(nodes × depth), so adding
     stops while the keys' summed length is over ``_TEXT_BUDGET`` times the
     formula text read so far, and later misses are simply parsed.
@@ -93,43 +94,35 @@ class _Known:
     def formula(self, text: str, where: str) -> Formula:
         """``parse(text)``, with ``where`` prefixing an error."""
         self.budget += _TEXT_BUDGET * len(text)
-        node = self.nodes.get(text)
-        if node is None:
-            try:
-                node = parse(text)
-            except ParseError as exc:
-                raise type(exc)(f"{where}: {exc}", exc.position) from None
-            self.learn(node)
-        return node
+        if text in self.nodes:
+            return self.nodes[text]
+        try:
+            return parse(text)
+        except ParseError as exc:
+            raise type(exc)(f"{where}: {exc}", exc.position) from None
 
-    def line(self, text: str, decode_just, where: str) -> tuple[Formula, Justification]:
-        """A line's formula, spelled ``text``, and the justification that
-        ``decode_just()`` reads; when both are malformed, the formula's
-        error is raised.  An axiom line first adds the instance its
-        justification names, so a line that spells it is a hit: a cache,
+    def line(
+        self, text: str, decode_just, lines: list[ProofLine], where: str
+    ) -> tuple[Formula, Justification]:
+        """The formula, spelled ``text``, and the justification that
+        ``decode_just()`` reads of the line after ``lines``; when both are
+        malformed, the formula's error is raised.  What the justification
+        derives is added first, so a line that spells it is a hit: a cache,
         while the checker still compares the two."""
         try:
             just = decode_just()
         except ParseError:
             self.formula(text, where)
             raise
-        if isinstance(just, AxiomJust):
-            try:
-                self.learn(axiom_instance(just.schema, just.subst_map()))
-            except (ValueError, MissingMetavariable):
-                pass  # no such instance; the checker rejects the line
+        derived = replay(len(lines) + 1, just, lines)  # a CheckResult if the line is bad
+        if self.budget > 0 and not isinstance(derived, CheckResult):
+            for node in subformulas(derived, self.texts):
+                key = render(node, texts=self.texts)  # its children are there
+                self.nodes[key] = node
+                self.budget -= len(key)
+                if self.budget <= 0:
+                    break
         return self.formula(text, where), just
-
-    def learn(self, f: Formula) -> None:
-        """Map the text of each node of ``f`` to the node, within budget."""
-        if self.budget <= 0:
-            return
-        for node in subformulas(f, self.texts):
-            text = render(node, texts=self.texts)  # its children are there
-            self.nodes[text] = node
-            self.budget -= len(text)
-            if self.budget <= 0:
-                return
 
 
 def _path(text: str, where: str) -> Path:
@@ -186,7 +179,7 @@ def proof_to_text(proof: Proof) -> str:
 def proof_from_text(text: str) -> Proof:
     known = _Known()
     lines: list[ProofLine] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(_NEWLINE_RE.split(text), start=1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
@@ -196,7 +189,7 @@ def proof_from_text(text: str) -> Proof:
             raise ParseError(f"{where}: unparseable proof line {raw!r}")
         index = _number(m.group(1), where)
         f, just = known.line(
-            m.group(2).rstrip(), lambda: _just_from_text(m.group(3), where, known), where
+            m.group(2).rstrip(), lambda: _just_from_text(m.group(3), where, known), lines, where
         )
         lines.append(ProofLine(index, f, just))
     if not lines:
@@ -284,6 +277,7 @@ def proof_from_dict(data: dict) -> Proof:
         f, just = known.line(
             _field(entry, "formula", str, where),
             lambda: _just_from_dict(_field(entry, "just", dict, where), f"{where}.just", known),
+            lines,
             f"{where}.formula",
         )
         lines.append(ProofLine(index, f, just))

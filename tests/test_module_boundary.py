@@ -5,7 +5,9 @@ exception: the prover evaluates a branch with the semantic kernel's
 
 The proof checker and the rule modules it shares with the prover
 (``proof/axioms.py``, ``defs.py``) never import the prover or the proof
-file loader, directly or through another plogic module."""
+file loader, directly or through another plogic module.  The loader takes
+no rule from those modules itself: it learns each line through the
+checker's ``replay``, so one function decides what a justification derives."""
 
 import ast
 from pathlib import Path
@@ -87,3 +89,9 @@ def test_the_checker_and_its_rules_never_import_the_prover_or_the_loader():
     reached = _reachable(["proof/checker.py", "proof/axioms.py", "defs.py"])
     assert {"proof/checker.py", "proof/axioms.py", "defs.py", "formula.py"} <= reached
     assert reached.isdisjoint({"proof/prover.py", "proof/io.py"})
+
+
+def test_the_loader_takes_its_rules_only_through_the_checker():
+    imported = _imported_files(SRC / "proof/io.py")
+    assert "proof/checker.py" in imported
+    assert imported.isdisjoint({"proof/axioms.py", "defs.py"})

@@ -306,9 +306,30 @@ class TestChecker:
 _AX1_P = _line(1, "(p or p) imp p", _ax(1, A="p"))
 _UNFOLD_IMP = DefJust(Operator.IMP, (), Direction.UNFOLD)
 
-# (lines, reason, detail) for every detail a DEF or MP line can be rejected
-# with; ``verify`` prints the detail.  The last line is the one rejected.
+# (lines, reason, detail) for every detail an AX, DEF or MP line can be
+# rejected with; ``verify`` prints the detail.  The last line is the one
+# rejected.
 REJECTION_DETAILS = [
+    (
+        [_line(1, "(p or p) imp p", _ax(5, A="p"))],
+        checker.NOT_AN_AXIOM_INSTANCE,
+        "no axiom schema 5",
+    ),
+    (
+        [_line(1, "p imp (p or q)", _ax(2, A="p"))],
+        checker.NOT_AN_AXIOM_INSTANCE,
+        "axiom schema 2 needs metavariable B",
+    ),
+    (
+        [_line(1, "(p or p) imp p", _ax(1, A="p", B="q"))],
+        checker.NOT_AN_AXIOM_INSTANCE,
+        "AX1 has only the metavariables A",
+    ),
+    (
+        [_AX1_P, _line(2, "(q or p) imp (p or q)", _ax(3, A="p", B="q"))],
+        checker.NOT_AN_AXIOM_INSTANCE,
+        "formula is not the stated AX3 instance",
+    ),
     (
         [_line(1, "!(p or p) or p", _UNFOLD_IMP)],
         checker.DEF_MISMATCH,

@@ -12,6 +12,7 @@ from plogic.formula import path_to_str
 from plogic.proof import (
     AxiomJust,
     CheckResult,
+    DefJust,
     MPJust,
     check_proof,
     load_proof,
@@ -60,8 +61,13 @@ def test_load_proof_detects_json(sample_proof):
 
 
 def test_comments_and_blank_lines_are_skipped(sample_proof):
-    text = "# generated\n\n" + proof_to_text(sample_proof)
-    assert proof_from_text(text) == sample_proof
+    # Only \n, \r\n and \r end a line: a form feed or U+2028 is whitespace.
+    for header, first in [
+        ("# generated\n\n", 3), ("# page one\x0cpage two\n", 2), ("# a\u2028b\r\n\r", 3)
+    ]:
+        assert proof_from_text(header + proof_to_text(sample_proof)) == sample_proof
+        with pytest.raises(ParseError, match=f"^line {first}: unrecognized justification"):
+            proof_from_text(header + "1. p ; ZAP")
 
 
 def test_malformed_text_raises():
@@ -386,18 +392,35 @@ def test_non_canonical_spellings_load_to_the_same_proof(proof, spelling):
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_an_axiom_line_loads_its_written_formula_not_the_instance(as_json):
-    k = next(i for i, line in enumerate(FUZZ_PROOF.lines) if isinstance(line.just, AxiomJust))
-    written = parse(render(FUZZ_PROOF.lines[k].formula).replace(" or ", " and ", 1))
-    swapped = lambda f: render(written) if f is FUZZ_PROOF.lines[k].formula else render(f)
-    if as_json:
-        loaded = proof_from_json(json.dumps(_reference_dict(FUZZ_PROOF, swapped)))
-    else:
-        loaded = proof_from_text(_reference_text(FUZZ_PROOF, swapped))
-    assert loaded.lines[k].formula is written
-    verdict = check_proof(loaded)
-    assert (verdict.accepted, verdict.line, verdict.reason) == (
-        False, k + 1, "NotAnAxiomInstance"
-    )
+    """So do an MP and a DEF line: the loader looks up what a line's rule
+    derives, but a line spelled otherwise still loads as written."""
+    for kind, reason in [
+        (AxiomJust, "NotAnAxiomInstance"), (MPJust, "MPShapeMismatch"), (DefJust, "DefMismatch")
+    ]:
+        k = next(i for i, line in enumerate(FUZZ_PROOF.lines) if isinstance(line.just, kind))
+        written = parse("!" + render(FUZZ_PROOF.lines[k].formula))
+        if as_json:
+            data = _reference_dict(FUZZ_PROOF)
+            data["lines"][k]["formula"] = render(written)
+            loaded = proof_from_json(json.dumps(data))
+        else:
+            lines = _reference_text(FUZZ_PROOF).splitlines(keepends=True)
+            lines[k] = f"{k + 1}. {render(written)} ; {lines[k].partition(' ; ')[2]}"
+            loaded = proof_from_text("".join(lines))
+        assert loaded.lines[k].formula is written
+        verdict = check_proof(loaded)
+        assert (verdict.accepted, verdict.line, verdict.reason) == (False, k + 1, reason)
+
+
+@pytest.mark.parametrize("dump", [proof_to_text, proof_to_json], ids=["text", "json"])
+def test_loading_the_main_results_parses_few_formulas(main_results, monkeypatch, dump):
+    """Nearly every line is looked up as what its rule derives from the lines
+    above, so the four main results need 75 ``parse`` calls in either format."""
+    files = [dump(proof) for proof in main_results]
+    calls = []
+    monkeypatch.setattr("plogic.proof.io.parse", lambda text: calls.append(text) or parse(text))
+    assert [load_proof(text) for text in files] == main_results
+    assert len(calls) < 200
 
 
 # A malformed formula's error wins over a malformed justification's, with
