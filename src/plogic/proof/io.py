@@ -30,7 +30,7 @@ import json
 import re
 
 from ..errors import ParseError, PathError
-from ..formula import Formula, Operator, Path, path_from_str, path_to_str, subformulas
+from ..formula import Formula, Not, Operator, Path, path_from_str, path_to_str, subformulas
 from ..parser import parse, render
 from ..transforms import EncryptionTrace
 from .checker import CheckResult, replay
@@ -80,10 +80,11 @@ class _Known:
     ``replay`` derives from earlier lines is looked up instead of parsed.
 
     Every key is ``render`` output, so a hit is exactly what ``parse`` would
-    return; any other spelling misses and is parsed.  Each derived formula
-    adds all its nodes.  Per-node texts cost O(nodes × depth), so adding
-    stops while the keys' summed length is over ``_TEXT_BUDGET`` times the
-    formula text read so far, and later misses are simply parsed.
+    return, as is the negation of a key's node for ``!`` and the key; any
+    other spelling misses and is parsed.  Each derived formula adds all its
+    nodes.  Per-node texts cost O(nodes × depth), so adding stops while the
+    keys' summed length is over ``_TEXT_BUDGET`` times the formula text read
+    so far, the line's own text included, and later misses are parsed.
     """
 
     def __init__(self):
@@ -92,10 +93,16 @@ class _Known:
         self.budget = 0
 
     def formula(self, text: str, where: str) -> Formula:
-        """``parse(text)``, with ``where`` prefixing an error."""
+        """``_lookup(text, where)``, with ``text`` counted into the budget."""
         self.budget += _TEXT_BUDGET * len(text)
+        return self._lookup(text, where)
+
+    def _lookup(self, text: str, where: str) -> Formula:
+        """``parse(text)``, with ``where`` prefixing an error."""
         if text in self.nodes:
             return self.nodes[text]
+        if text[:1] == "!" and text[1:] in self.nodes:  # how render writes a Not
+            return Not(self.nodes[text[1:]])
         try:
             return parse(text)
         except ParseError as exc:
@@ -109,10 +116,11 @@ class _Known:
         malformed, the formula's error is raised.  What the justification
         derives is added first, so a line that spells it is a hit: a cache,
         while the checker still compares the two."""
+        self.budget += _TEXT_BUDGET * len(text)
         try:
             just = decode_just()
         except ParseError:
-            self.formula(text, where)
+            self._lookup(text, where)
             raise
         derived = replay(len(lines) + 1, just, lines)  # a CheckResult if the line is bad
         if self.budget > 0 and not isinstance(derived, CheckResult):
@@ -122,7 +130,7 @@ class _Known:
                 self.budget -= len(key)
                 if self.budget <= 0:
                     break
-        return self.formula(text, where), just
+        return self._lookup(text, where), just
 
 
 def _path(text: str, where: str) -> Path:

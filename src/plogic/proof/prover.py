@@ -5,15 +5,16 @@ full assignment, then eliminate the case hypotheses pairwise.  Instead of
 carrying hypotheses as premise lines and discharging them afterwards, a
 branch for the assignment v is derived directly as the closed theorem
 
-    L1 or (L2 or (... (Ln or f0)))
+    Ln or (... (L2 or (L1 or f0)))
 
-where Li is !qi when v(qi) = 1 and qi when v(qi) = 0, and f0 is the goal
-rewritten into the primitive not/or language.  Within a branch, the usual
-induction over subformulas runs underneath the guard literals, lifted by
-the sum axiom.  Two branches that differ only in the innermost guard are
-merged by commuting that guard to the front and resolving q against !q,
-until no guards remain.  Finally DEF lines fold f0 back into the original
-goal.
+where Li is !qi when v(qi) = 1 and qi when v(qi) = 0, for the atoms
+q1 ... qn in order, and f0 is the goal rewritten into the primitive not/or
+language.  Within a branch, the usual induction over subformulas runs
+underneath the guard literals, lifted by the sum axiom.  The case split
+fixes q1 first and qn last, so two branches that differ only in qn differ
+only in their outermost guard, and resolving qn against !qn merges them;
+this repeats, newest atom first, until no guards remain.  Finally DEF lines
+fold f0 back into the original goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
 single DEF steps; theorems already on some line are reused by reference,
@@ -127,10 +128,6 @@ def _def_step(
     return b.emit(target, DefJust(name, path, direction))
 
 
-def _unfold_imp_root(b: _Builder, idx: int) -> int:
-    return _def_step(b, idx, _IMP, (), Direction.UNFOLD)
-
-
 def _fold_imp_root(b: _Builder, idx: int) -> int:
     return _def_step(b, idx, _IMP, (), Direction.FOLD)
 
@@ -161,7 +158,7 @@ def _lem_flipped(b: _Builder, a: Formula) -> int:
     hit = b.have(target)
     if hit is not None:
         return hit
-    return _unfold_imp_root(b, _imp_self(b, a))
+    return _def_step(b, _imp_self(b, a), _IMP, (), Direction.UNFOLD)
 
 
 def _lem(b: _Builder, a: Formula) -> int:
@@ -185,10 +182,10 @@ def _syl(b: _Builder, first: int, second: int) -> int:
     hit = b.have(target)
     if hit is not None:
         return hit
-    unfolded = _unfold_imp_root(b, first)  # !X or Y
     four = b.axiom(4, A=Not(x), B=y, C=z)
     chain = b.mp(four, second)  # (!X or Y) imp (!X or Z)
-    primitive = b.mp(chain, unfolded)  # !X or Z
+    folded = _def_step(b, chain, _IMP, (Step.LEFT,), Direction.FOLD)  # (X imp Y) imp (!X or Z)
+    primitive = b.mp(folded, first)  # !X or Z
     return _fold_imp_root(b, primitive)
 
 
@@ -380,11 +377,9 @@ def _guarded_mp(
 def _guard_literals(
     atom_names: list[str], values: dict[str, int]
 ) -> tuple[Formula, ...]:
-    return tuple(
-        Not(Atom(n)) if values[n] else Atom(n)
-        for n in atom_names
-        if n in values
-    )
+    """The guards of the full assignment ``values``, newest first: the last
+    atom's literal is outermost, so the case split on it finds it in front."""
+    return tuple(Not(Atom(n)) if values[n] else Atom(n) for n in reversed(atom_names))
 
 
 def _atom_line(
@@ -431,7 +426,7 @@ def _derive_branch(
         if lemma is None and node in line:
             continue
         if isinstance(node, Atom):
-            pos = atom_names.index(node.name)
+            pos = len(atom_names) - 1 - atom_names.index(node.name)
             line[node] = _atom_line(b, guards, pos, values[node.name])
         elif isinstance(node, Not):
             x = node.child
@@ -460,21 +455,18 @@ def _derive_branch(
 def _case_split(
     b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int]
 ) -> int:
-    """nest(guards(values), f0), by splitting on each atom ``values`` leaves
-    open.  Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
-    k = len(values)
-    if k == len(atom_names):
+    """D = nest(guards(values), f0), by splitting on each atom ``values``
+    leaves open.  The branches on the next atom q are !q or D and q or D;
+    the first folds into q imp D, which resolves the second to D or D.
+    Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
+    if len(values) == len(atom_names):
         return _derive_branch(b, nodes, atom_names, values)
-    f0 = nodes[-1]
-    q = Atom(atom_names[k])
-    on = _case_split(b, nodes, atom_names, {**values, atom_names[k]: 1})
-    off = _case_split(b, nodes, atom_names, {**values, atom_names[k]: 0})
-    prefix = _guard_literals(atom_names[:k], values)
-    keep = _pull_guard(b, on, prefix + (Not(q),), f0, k)  # !q or D
-    drop = _pull_guard(b, off, prefix + (q,), f0, k)  # q or D
-    bridge = _fold_imp_root(b, keep)  # q imp D
-    d = _nest(prefix, f0)
-    doubled = b.mp(_sum_right(b, bridge, d), drop)  # D or D
+    name = atom_names[len(values)]
+    on = _case_split(b, nodes, atom_names, {**values, name: 1})  # !q or D
+    bridge = _fold_imp_root(b, on)  # q imp D, folded while on is the last line
+    off = _case_split(b, nodes, atom_names, {**values, name: 0})  # q or D
+    d = b.formula_at(bridge).right
+    doubled = b.mp(_sum_right(b, bridge, d), off)  # D or D
     return b.mp(b.axiom(1, A=d), doubled)
 
 

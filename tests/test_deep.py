@@ -163,7 +163,7 @@ def test_upsilon_round_trip_deep_mixed_formula(tmp_path):
 def test_prove_and_check_under_1100_negations():
     goal = parse("!" * 1100 + "(p or !p)")
     proof = prove_tautology(goal)
-    assert len(proof.lines) == 8859
+    assert len(proof.lines) == 8835
     assert proof.lines[-1].formula is goal
     assert check_proof(proof).accepted
 

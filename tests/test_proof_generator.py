@@ -123,24 +123,24 @@ def test_four_atom_goal():
 # says why.
 MAIN_RESULT_PROOFS = [
     (
-        7450,
-        "bf63e72aed7de6d6412a8b291c446c38ad3852c30ae5200e995f51fe08b788f8",
-        "ce39a9d7a2f7184b96f9cffd90cde5abf7fd4fb1c9640a64c3323eae60c9cbb5",
+        3944,
+        "a8b516d6daf5fa518d9f3a712b071619b315275d4f60c4a3bd50e0174e182f11",
+        "e466c3195e9c318a108f30c8a3f835cc47b6b7ff1e34063e2d2dda49bc9af1bd",
     ),
     (
-        7654,
-        "ed9018949bec6c97cf724a07578b630159b3acb5b2a329ea306aba60186d34ff",
-        "9b421df136abfde16ee81025e75db13c4f01176f861fdff6ebe317c08226f9ed",
+        4142,
+        "8848fd55981578b7c7b443266d3c3d3fc2e548a08408d9b89fc22b685940d610",
+        "cee9803bb42e546e160cd19adee0092da732e49c762b388b2fafa0274816ddac",
     ),
     (
-        11107,
-        "bfdae56ce039d4aeda1c57497e3c3084ab351f4f72aec603db6b8eaeeed13cab",
-        "cc7b025a01446fc0fe98803180f18bc79743697c9b1492ec64e202ad809f7f87",
+        5865,
+        "b7b81d9295970a8f535deca8f344b5bc955089becf9ac8e470cebcb0d221a413",
+        "654fb757bd6b6aa485484619525af56a9d3a52aa20ef93050d72b4bbc436d3f8",
     ),
     (
-        11134,
-        "279b6486ff06e306c29b8acd79de4899704bb564869098294409f0271dc40cf5",
-        "555fb2e5eb24ce26b73f907094dd891c82fc73143998d7ead3dbdb24770db974",
+        5886,
+        "9e28ba8c79acdd9f984ab7acb231bf6eda193ac994eb019d903e86fb066e0bef",
+        "8a0c28c740abf78188fdf31c0d1bd2a2b491be059477882a897f97c33f855362",
     ),
 ]
 
@@ -154,3 +154,11 @@ def test_main_result_proofs_are_pinned():
         for proof in prove_main_results()
     ]
     assert found == MAIN_RESULT_PROOFS
+
+
+def test_no_line_repeats_an_earlier_formula():
+    """A generated proof never copies a line: each formula is new."""
+    deep = prove_tautology(parse("!" * 1100 + "(p or !p)"))
+    for proof in prove_main_results() + [deep]:
+        formulas = [line.formula for line in proof.lines]
+        assert len(set(formulas)) == len(formulas)

@@ -423,6 +423,24 @@ def test_loading_the_main_results_parses_few_formulas(main_results, monkeypatch,
     assert len(calls) < 200
 
 
+@pytest.mark.parametrize("dump", [proof_to_text, proof_to_json], ids=["text", "json"])
+def test_loading_the_main_results_parses_no_line_formula(main_results, monkeypatch, dump):
+    """Only first-seen substitution terms are parsed: every line's formula,
+    the first line's too, is looked up as what its rule derives."""
+    files = [dump(proof) for proof in main_results]
+    calls = []
+    monkeypatch.setattr("plogic.proof.io.parse", lambda text: calls.append(text) or parse(text))
+    assert [load_proof(text) for text in files] == main_results
+    terms = {
+        render(term)
+        for proof in main_results
+        for line in proof.lines
+        if isinstance(line.just, AxiomJust)
+        for _, term in line.just.subst
+    }
+    assert set(calls) <= terms
+
+
 # A malformed formula's error wins over a malformed justification's, with
 # the message and position loading gave before the memo.
 @pytest.mark.parametrize(
