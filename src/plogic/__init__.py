@@ -32,6 +32,7 @@ from .semantics import (
     Assignment,
     Column,
     RelationVerdict,
+    TableScan,
     TruthTable,
     assignments,
     evaluate,
@@ -41,6 +42,7 @@ from .semantics import (
     is_perpendicular,
     is_tautology,
     op_value,
+    table_blocks,
     table_labels,
     truth_table,
 )

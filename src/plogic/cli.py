@@ -17,13 +17,16 @@ from pathlib import Path as FsPath
 from .errors import LogicError, ParseError
 from .formula import Formula, Language, language_of, atoms_of, path_to_str
 from .parser import Dialect, parse, render
-# assignments and evaluate stay bound for perfbench/spans.py, which wraps them
+# assignments, evaluate and truth_table stay bound for perfbench/spans.py,
+# which wraps them
 from .semantics import (  # noqa: F401
+    TableScan,
     assignments,
     evaluate,
     first_row,
     is_parallel,
     is_perpendicular,
+    table_blocks,
     table_labels,
     truth_table,
 )
@@ -82,44 +85,72 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+# Stands for one digit in a row template; no other text of a row holds it.
+_MARK = "\0"
+
+
+def _stamp(template: str, digits: list[str]) -> str:
+    """``template`` once per row: in row ``i`` its ``k``-th mark becomes
+    digit ``i`` of ``digits[k]``.  The template is ASCII; each mark is set
+    in every row at once by one strided slice assignment."""
+    line = template.encode()
+    rows = bytearray(line) * len(digits[0])
+    at = -1
+    for bits in digits:
+        at = line.index(_MARK.encode(), at + 1)
+        rows[at :: len(line)] = bits.encode()
+    return rows.decode()
+
+
+def _write_table_json(formula: str, scan: TableScan, labels: list[str]) -> None:
+    """Write the table as ``json.dumps(payload, indent=2)`` and a newline
+    would, the rows a block at a time.  The columns come after the rows,
+    so their digits are kept, one byte per cell."""
+    write, dumps = sys.stdout.write, json.dumps
+    atoms = ",".join(f"\n    {dumps(name)}" for name in scan.atom_order)
+    write(f'{{\n  "formula": {dumps(formula)},\n  "atoms": [{atoms}\n  ],\n  "rows": [')
+    cells = ",".join(f"\n      {dumps(name)}: {_MARK}" for name in scan.atom_order)
+    row = f",\n    {{{cells}\n    }}"
+    kept = [bytearray() for _ in scan.paths]
+    comma = 1  # the first row has no comma before it
+    for atom_digits, column_digits in scan.blocks:
+        write(_stamp(row, atom_digits)[comma:])
+        comma = 0
+        for column, bits in zip(kept, column_digits):
+            column += bits.encode()
+    write('\n  ],\n  "columns": [')
+    for i, (path, label, column) in enumerate(zip(scan.paths, labels, kept)):
+        write(",\n    {" if i else "\n    {")
+        write(f'\n      "path": {dumps(path_to_str(path))},\n      "label": {dumps(label)},')
+        write('\n      "values": [\n        ')
+        write(",\n        ".join(column.decode()))
+        write("\n      ]\n    }")
+    final = ",\n    ".join(kept[scan.final_index].decode())
+    write(f'\n  ],\n  "final_index": {scan.final_index},\n  "final": [\n    {final}\n  ]\n}}\n')
+
+
 def cmd_table(args) -> int:
     f = _read_formula_arg(args.formula)
-    table = truth_table(f)
+    scan = table_blocks(f)
     labels = table_labels(f, _dialect(args))
     if args.json:
-        _emit_json(
-            {
-                "formula": render(f, _dialect(args)),
-                "atoms": table.atom_order,
-                "rows": table.rows,
-                "columns": [
-                    {
-                        "path": path_to_str(col.path),
-                        "label": label,
-                        "values": col.values,
-                    }
-                    for col, label in zip(table.columns, labels)
-                ],
-                "final_index": table.final_index,
-                "final": table.columns[table.final_index].values,
-            }
-        )
+        _write_table_json(render(f, _dialect(args)), scan, labels)
         return EXIT_OK
     labels = [
-        f"[{label}]" if i == table.final_index else label
+        f"[{label}]" if i == scan.final_index else label
         for i, label in enumerate(labels)
     ]
-    widths = [len(label) for label in labels]
-    header = " ".join(table.atom_order) + " | " + "  ".join(labels)
-    print(header)
-    print("-" * len(header))
-    for i, row in enumerate(table.rows):
-        bits = " ".join(str(row[a]) for a in table.atom_order)
-        cells = "  ".join(
-            str(col.values[i]).center(w) for col, w in zip(table.columns, widths)
-        )
-        print(bits + " | " + cells)
-    print("[...] marks the final analysis column")
+    header = " ".join(scan.atom_order) + " | " + "  ".join(labels)
+    row = (
+        " ".join(_MARK * len(scan.atom_order))
+        + " | "
+        + "  ".join(_MARK.center(len(label)) for label in labels)
+        + "\n"
+    )
+    sys.stdout.write(f"{header}\n{'-' * len(header)}\n")
+    for atom_digits, column_digits in scan.blocks:
+        sys.stdout.write(_stamp(row, atom_digits + column_digits))
+    sys.stdout.write("[...] marks the final analysis column\n")
     return EXIT_OK
 
 

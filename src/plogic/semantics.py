@@ -11,7 +11,10 @@ final analysis.
 Every semantic question is answered by one scan over the table, a block
 of rows at a time, with each column of a block held as one int.  A block's
 columns are filled by one pass over the formula's distinct subformulas,
-children first.
+children first.  ``table_blocks`` hands a table out block by block, each
+column of a block as a string of ``0``/``1`` digits in row order, so a
+caller can write a table of any size in bounded memory; ``truth_table``
+collects those blocks into one row dict and one int per cell.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
 
     Bit ``k`` of a column is row ``first + k``.  The last atoms change
     within a block and take fixed masks; the others are constant in it.
+    Too many atoms raise TooManyAtoms here, not at the first block.
     """
     if len(atoms) > ATOM_LIMIT:
         raise TooManyAtoms(len(atoms), ATOM_LIMIT)
@@ -115,9 +119,12 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
     shifts = list(enumerate(reversed(atoms)))
     # the column of shift s: 2**s ones, then 2**s zeros, repeated
     masks = {name: full // ((1 << (1 << s)) + 1) for s, name in shifts[:low]}
-    for start in range(0, 1 << len(atoms), 1 << low):
+
+    def block(start: int) -> tuple[int, Assignment, int]:
         high = {name: full * ((~start >> s) & 1) for s, name in shifts[low:]}
-        yield start, {**masks, **high}, full
+        return start, {**masks, **high}, full
+
+    return map(block, range(0, 1 << len(atoms), 1 << low))
 
 
 def first_row(f: Formula, value: int) -> Optional[Assignment]:
@@ -183,19 +190,52 @@ def table_labels(f: Formula, dialect: Dialect = Dialect.UNICODE) -> list[str]:
     return (text[1:-1] if isinstance(f, Bin) else text).split(" ")
 
 
-def truth_table(f: Formula) -> TruthTable:
+@dataclass
+class TableScan:
+    """A truth table's header, and its rows as an iterator of blocks.
+
+    Each block is a pair (atom digits, column digits): one string of
+    ``0``/``1`` per atom of ``atom_order`` and per column of ``paths``,
+    with one digit per row of the block, in table order.
+    """
+
+    atom_order: list[str]
+    paths: list[Path]
+    final_index: int
+    blocks: Iterator[tuple[list[str], list[str]]]
+
+
+def table_blocks(f: Formula) -> TableScan:
+    """The table of ``f`` a block of rows at a time; too many atoms raise
+    TooManyAtoms at the call, before any block is made."""
     atoms = atoms_of(f)
     nodes = subformulas(f)
     header = list(_columns(f))
-    columns = [Column(path, []) for path, _ in header]
-    for _, cols, full in _blocks(atoms):
-        width = full.bit_length()
-        values = _fill_columns(nodes, cols, full)
-        for col, (_, node) in zip(columns, header):
-            bits = format(values[node], f"0{width}b")[::-1]
+    paths = [path for path, _ in header]
+
+    def digits(blocks: Iterator[tuple[int, Assignment, int]]):
+        for _, cols, full in blocks:
+            # row k is bit k: the k-th binary digit from the right
+            spec = f"0{full.bit_length()}b"
+            values = _fill_columns(nodes, cols, full)
+            yield (
+                [format(cols[name], spec)[::-1] for name in atoms],
+                [format(values[node], spec)[::-1] for _, node in header],
+            )
+
+    return TableScan(atoms, paths, paths.index(()), digits(_blocks(atoms)))
+
+
+def truth_table(f: Formula) -> TruthTable:
+    """The whole table of ``f``, one dict per row and one int per cell;
+    ``table_blocks`` gives the same table in bounded memory."""
+    scan = table_blocks(f)
+    columns = [Column(path, []) for path in scan.paths]
+    for _, block in scan.blocks:
+        for col, bits in zip(columns, block):
             col.values += bits.encode().translate(_DIGITS)
-    final_index = next(i for i, c in enumerate(columns) if c.path == ())
-    return TruthTable(atoms, list(assignments(atoms)), columns, final_index)
+    atoms = scan.atom_order
+    return TruthTable(atoms, list(assignments(atoms)), columns, scan.final_index)
 
 
 def is_tautology(f: Formula) -> bool:

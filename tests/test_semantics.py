@@ -21,6 +21,7 @@ from plogic import (
     op_value,
     parse,
     render,
+    table_blocks,
     table_labels,
     truth_table,
 )
@@ -154,6 +155,8 @@ class TestTruthTable:
             truth_table(f)
         with pytest.raises(TooManyAtoms):
             is_tautology(f)
+        with pytest.raises(TooManyAtoms):  # at the call, before any block
+            table_blocks(f)
 
     def test_atom_guard_applies_to_the_union_in_relations(self):
         left = Atom("a0")
