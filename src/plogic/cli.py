@@ -3,7 +3,8 @@
 Commands: parse, table, check, relate, transform, prove, verify.
 Formulas are given inline in either dialect, or as ``@path`` to read a
 file.  Exit codes: 0 success, 2 parse, usage or file error, 3 any other
-failed precondition, 4 proof rejection, 141 closed output pipe.
+failed precondition or out of memory, 4 proof rejection, 141 closed
+output pipe.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from functools import cache
 from pathlib import Path as FsPath
 
 from .errors import LogicError, ParseError
@@ -258,11 +261,13 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     proof = load_proof(_read_text(args.proof_file))
     result = check_proof(proof)
-    if result.accepted:
+    if args.json:
+        _emit_json({**asdict(result), "lines": len(proof.lines)})
+    elif result.accepted:
         print(f"accepted ({len(proof.lines)} lines)")
-        return EXIT_OK
-    print(f"rejected at line {result.line}: {result.reason} ({result.detail})")
-    return EXIT_REJECTED
+    else:
+        print(f"rejected at line {result.line}: {result.reason} ({result.detail})")
+    return EXIT_OK if result.accepted else EXIT_REJECTED
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -281,23 +286,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="validate a formula and echo canonical form")
     p.add_argument("formula")
     common(p)
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("table", help="print the truth table")
     p.add_argument("formula")
     common(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("check", help="classify tautology/contradiction/contingent")
     p.add_argument("formula")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("relate", help="test the parallel and perpendicular relations")
     p.add_argument("a")
     p.add_argument("b")
     common(p)
-    p.set_defaults(func=cmd_relate)
 
     p = sub.add_parser("transform", help="apply a rewriting rule")
     p.add_argument(
@@ -306,7 +307,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--trace", "-t", help="trace file (written by upsilon, read by upsilon-inv)")
     common(p)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("prove", help="generate a checkable proof of a tautology")
     p.add_argument("formula", nargs="?")
@@ -318,17 +318,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="emit proofs of the four regrouping biconditionals",
     )
     common(p)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="check a proof file")
     p.add_argument("proof_file")
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--json", action="store_true", help="machine output")
 
     return top
 
 
+# Built on the first call of main and kept: parse_args leaves the parser as
+# it was, so the calls of one process stay independent.
+_arg_parser = cache(build_arg_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    top = build_arg_parser()
+    top = _arg_parser()
     args = top.parse_args(argv)
     if args.command == "transform" and args.rule == "upsilon-inv" and not args.trace:
         top.error("upsilon-inv requires --trace")
@@ -341,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "prove" and args.dir and not args.main_results:
         top.error("prove --dir needs --main-results")
     try:
-        return args.func(args)
+        # looked up at the call, so that a rebound cmd_<command> is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -353,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 def entrypoint() -> None:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line tool."""
 
+import argparse
 import codecs
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from plogic import cli, parse
 from plogic.errors import MissingAtom, MissingMetavariable, NoDual, TooManyAtoms, UnknownToken
-from plogic.proof import proof_to_text, prove_tautology
+from plogic.proof import proof_to_json, proof_to_text, prove_tautology
 from test_proofio import MISSING, _edited_json
 
 DATA = Path(__file__).parent / "data"
@@ -401,3 +402,153 @@ def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code, pre
     monkeypatch.setattr(cli, "cmd_check", fail)
     assert cli.main(["check", "p"]) == code
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_table", fail)
+    assert cli.main(["table", "p"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# verify --json: one object, {accepted, line, reason, detail, lines}, on
+# exit 0 and 4.  Each mutant edits the 40-line proof of (p or !p); in it,
+# entry 1 is an AX2 line, entry 2 a DEF line and entry 5 an MP line.
+# UnsupportedJustification is left out: the loader builds no other kind of
+# line, so no file reaches it.
+
+VERIFY_MUTANTS = [
+    (("lines", 0, "just", "schema"), 3, 1, "NotAnAxiomInstance",
+     "formula is not the stated AX3 instance"),
+    (("lines", 5, "just", "major"), 9, 6, "BadMPReference",
+     "references 9,4 must be earlier lines"),
+    (("lines", 5, "just", "minor"), 3, 6, "MPShapeMismatch",
+     "line 3 does not match the antecedent of line 5"),
+    (("lines", 2, "just", "path"), "L", 3, "DefMismatch",
+     "subformula at path is not a imp application"),
+    (("goal",), "(q or !q)", 40, "GoalMismatch", "last line does not equal the goal"),
+    (("lines", 1, "index"), 3, 2, "BadLineIndex", "expected index 2, found 3"),
+]
+
+
+@pytest.fixture(scope="module")
+def excluded_middle():
+    return prove_tautology(parse("p or !p"))
+
+
+def _verify_both_ways(path, capsys):
+    """(code, stdout, stderr) of verify and of verify --json on ``path``."""
+    runs = []
+    for extra in ([], ["--json"]):
+        code = cli.main(["verify", str(path), *extra])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def test_verify_json_reports_an_accepted_proof(tmp_path, capsys, excluded_middle):
+    path = tmp_path / "p.prf"
+    path.write_text(proof_to_text(excluded_middle), encoding="utf-8")
+    plain, machine = _verify_both_ways(path, capsys)
+    assert plain == (0, "accepted (40 lines)\n", "")
+    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 40}
+    assert machine == (0, json.dumps(expected, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "keys, value, line, reason, detail", VERIFY_MUTANTS, ids=[m[3] for m in VERIFY_MUTANTS]
+)
+def test_verify_json_reports_each_rejection(
+    tmp_path, capsys, excluded_middle, keys, value, line, reason, detail
+):
+    path = tmp_path / "p.json"
+    path.write_text(_edited_json(excluded_middle, keys, value), encoding="utf-8")
+    plain, machine = _verify_both_ways(path, capsys)
+    assert plain == (4, f"rejected at line {line}: {reason} ({detail})\n", "")
+    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 40}
+    assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
+
+
+def test_verify_json_on_a_malformed_file_exits_2_with_one_line(tmp_path, capsys, excluded_middle):
+    path = tmp_path / "p.json"
+    path.write_text(_edited_json(excluded_middle, ("lines",), "x"), encoding="utf-8")
+    for run in _verify_both_ways(path, capsys):
+        assert run == (2, "", "parse error: lines: expected a list\n")
+
+
+# In-process calls: main builds its parser once per process, and each call
+# parses its own argv as a fresh process would.
+
+def test_in_process_calls_build_the_parser_once(monkeypatch, capsys):
+    assert cli.main(["check", "p"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_arg_parser()
+    assert len(built) == 8  # the count sees the top parser and its seven subcommands
+    built.clear()
+    for _ in range(50):
+        assert cli.main(["check", "p"]) == 0
+    assert built == []
+    assert capsys.readouterr().out == "CONTINGENT\n  true at: {p=1}\n  false at: {p=0}\n" * 51
+
+
+@pytest.mark.parametrize(
+    "bad, good",
+    [
+        (["check"], ["check", "(p or !p)"]),
+        (["table", "--bogus", "p"], ["table", "(p nor q)"]),
+        (["transform", "psi", "(p xor q)", "-t", "{tmp}/x.json"], ["transform", "psi", "(p xor q)"]),
+        (["prove", "(p or !p)", "-d", "{tmp}/out"], ["prove", "(p or !p)"]),
+    ],
+    ids=["check", "table", "transform", "prove"],
+)
+def test_a_usage_error_leaves_the_next_call_as_it_would_run_alone(capsys, tmp_path, bad, good):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(tmp=tmp_path) for arg in bad])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code = cli.main(good)
+    alone = run_cli(*good)
+    assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+    assert alone.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["prove", "--main-results", "-d", "{tmp}/D"], ["prove", "(p or !p)", "-o", "{tmp}/X"]),
+        (
+            ["transform", "upsilon", "(p ↓ ¬(q ↓ r)) ⊕ (¬(p ↓ q) ↓ r)", "-t", "{tmp}/T"],
+            ["transform", "psi", "(p ↓ (q ↓ r)) ⊕ ((p ↓ q) ↓ r)"],
+        ),
+    ],
+    ids=["prove", "transform"],
+)
+def test_a_call_inherits_no_option_from_the_one_before(
+    monkeypatch, capsys, tmp_path, first, second
+):
+    first, second = ([arg.format(tmp=tmp_path) for arg in argv] for argv in (first, second))
+    seen = []
+    name = f"cmd_{first[0]}"
+    command = getattr(cli, name)
+
+    def recording(args):
+        seen.append(vars(args).copy())
+        return command(args)
+
+    monkeypatch.setattr(cli, name, recording)
+    assert cli.main(first) == 0
+    capsys.readouterr()
+    code = cli.main(second)
+    out = capsys.readouterr().out
+    assert seen[-1] == vars(cli.build_arg_parser().parse_args(second))
+    alone = run_cli(*second)
+    assert (code, out) == (alone.returncode, alone.stdout)
+    assert alone.returncode == 0
