@@ -37,11 +37,13 @@ from .semantics import (
     assignments,
     evaluate,
     first_row,
+    first_rows,
     is_contradiction,
     is_parallel,
     is_perpendicular,
     is_tautology,
     op_value,
+    relate,
     table_blocks,
     table_labels,
     truth_table,

@@ -20,15 +20,16 @@ from pathlib import Path as FsPath
 from .errors import LogicError, ParseError
 from .formula import Formula, Language, language_of, atoms_of, path_to_str
 from .parser import Dialect, parse, render
-# assignments, evaluate and truth_table stay bound for perfbench/spans.py,
-# which wraps them
+# assignments, evaluate, is_parallel, is_perpendicular and truth_table stay
+# bound for perfbench/spans.py, which wraps them
 from .semantics import (  # noqa: F401
     TableScan,
     assignments,
     evaluate,
-    first_row,
+    first_rows,
     is_parallel,
     is_perpendicular,
+    relate,
     table_blocks,
     table_labels,
     truth_table,
@@ -159,15 +160,9 @@ def cmd_table(args) -> int:
 
 def cmd_check(args) -> int:
     f = _read_formula_arg(args.formula)
-    true_row = first_row(f, 1)
-    false_row = first_row(f, 0)
-    if false_row is None:
-        verdict, witnesses = "TAUTOLOGY", {}
-    elif true_row is None:
-        verdict, witnesses = "CONTRADICTION", {}
-    else:
-        verdict = "CONTINGENT"
-        witnesses = {"true_at": true_row, "false_at": false_row}
+    rows = dict(first_rows(f))
+    witnesses = {"true_at": rows[1], "false_at": rows[0]} if len(rows) == 2 else {}
+    verdict = "CONTINGENT" if witnesses else "TAUTOLOGY" if 1 in rows else "CONTRADICTION"
     if args.json:
         _emit_json({"formula": render(f, _dialect(args)), "verdict": verdict, **witnesses})
     else:
@@ -189,8 +184,7 @@ def cmd_relate(args) -> int:
             f"{lang_a.value} / {lang_b.value}",
             file=sys.stderr,
         )
-    par = is_parallel(a, b)
-    perp = is_perpendicular(a, b)
+    par, perp = relate(a, b)
     payload: dict = {"parallel": par.holds, "perpendicular": perp.holds}
     if par.witness is not None:
         payload["parallel_witness"] = par.witness

@@ -8,8 +8,9 @@ parenthesized binary formula does not get a column of its own; its value
 is shown in the column of the symbol it guards.  The root column is the
 final analysis.
 
-Every semantic question is answered by one scan over the table, a block
-of rows at a time, with each column of a block held as one int.  A block's
+Every semantic question, ``check``'s two witnesses and ``relate``'s two
+relations included, is answered by one scan over the table, a block of
+rows at a time, with each column of a block held as one int.  A block's
 columns are filled by one pass over the formula's distinct subformulas,
 children first.  ``table_blocks`` hands a table out block by block, each
 column of a block as a string of ``0``/``1`` digits in row order, so a
@@ -127,15 +128,29 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
     return map(block, range(0, 1 << len(atoms), 1 << low))
 
 
-def first_row(f: Formula, value: int) -> Optional[Assignment]:
-    """The first row in table order where ``f`` takes ``value``, or None."""
+def first_rows(f: Formula) -> Iterator[tuple[int, Assignment]]:
+    """(value, first row where ``f`` takes it) for each value ``f`` takes, in
+    table order, from one scan that stops once it has seen both values."""
     nodes = subformulas(f)
     atoms = [node.name for node in nodes if isinstance(node, Atom)]  # atoms_of, one walk
-    for start, cols, full in _blocks(atoms):
-        hits = _fill_columns(nodes, cols, full)[f] ^ (0 if value else full)
-        if hits:
-            return _row(atoms, start + (hits & -hits).bit_length() - 1)
-    return None
+    blocks = _blocks(atoms)  # too many atoms raise here, at the call
+
+    def scan() -> Iterator[tuple[int, Assignment]]:
+        for start, cols, full in blocks:
+            ones = _fill_columns(nodes, cols, full)[f]
+            if start == 0:  # the value at row 0 is the first one seen
+                seen = ones & 1
+                yield seen, _row(atoms, 0)
+            if hits := ones ^ (full if seen else 0):
+                yield 1 - seen, _row(atoms, start + (hits & -hits).bit_length() - 1)
+                return
+
+    return scan()
+
+
+def first_row(f: Formula, value: int) -> Optional[Assignment]:
+    """The first row in table order where ``f`` takes ``value``, or None."""
+    return next((row for v, row in first_rows(f) if v == value), None)
 
 
 @dataclass
@@ -266,3 +281,10 @@ def is_perpendicular(a: Formula, b: Formula) -> RelationVerdict:
     """Is the final analysis of ``b`` the bitwise complement of ``a``'s?"""
     witness = first_row(Bin(Operator.XOR, a, b), 0)
     return RelationVerdict(witness is None, witness)
+
+
+def relate(a: Formula, b: Formula) -> tuple[RelationVerdict, RelationVerdict]:
+    """(is_parallel(a, b), is_perpendicular(a, b)) from one scan of a xor b."""
+    rows = dict(first_rows(Bin(Operator.XOR, a, b)))
+    par, perp = rows.get(1), rows.get(0)
+    return RelationVerdict(par is None, par), RelationVerdict(perp is None, perp)

@@ -23,6 +23,7 @@ from plogic import (
     op_value,
     parse,
     psi_apply,
+    relate,
     truth_table,
     upsilon_decrypt,
     upsilon_encrypt,
@@ -122,6 +123,8 @@ def test_04_perpendicular_pairs_and_equivalences():
         b = random_formula(rng, names, 4)
         perp = is_perpendicular(a, b).holds
         if perp != is_parallel(a, Not(b)).holds or perp != is_parallel(Not(a), b).holds:
+            violations += 1
+        if relate(a, b) != (is_parallel(a, b), is_perpendicular(a, b)):
             violations += 1
     assert violations == 0
 

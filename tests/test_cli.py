@@ -552,3 +552,29 @@ def test_a_call_inherits_no_option_from_the_one_before(
     alone = run_cli(*second)
     assert (code, out) == (alone.returncode, alone.stdout)
     assert alone.returncode == 0
+
+
+# check and relate read both of their answers from one scan: two 4,096-row
+# blocks whose witnesses all fall in the first cost one kernel pass.
+
+def _chain13(op: str) -> str:
+    """``((a0 op a1) op a2) ... op a12`` as text: 13 atoms, two blocks."""
+    text = "a0"
+    for i in range(1, 13):
+        text = f"({text} {op} a{i})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "argv, witnesses",
+    [
+        (["check", _chain13("xor")], ["true at", "false at"]),
+        (["relate", _chain13("or"), _chain13("nor")], ["differs at", "fails at"]),
+    ],
+    ids=["check", "relate"],
+)
+def test_check_and_relate_scan_the_table_once(kernel_passes, capsys, argv, witnesses):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert all(witness in out for witness in witnesses)
+    assert len(kernel_passes) == 1

@@ -28,9 +28,9 @@ from plogic import (
 from plogic.cli import main as cli_main
 from plogic.errors import MissingAtom, TooManyAtoms
 from plogic.formula import subformula_at
-from plogic.semantics import TRUTH, assignments, first_row
+from plogic.semantics import TRUTH, assignments, first_row, first_rows
 
-from oracle import TABLES, oracle_assignments, oracle_eval, random_formula
+from oracle import TABLES, bit_columns, bit_eval, oracle_assignments, oracle_eval, random_formula
 from goldens import A_TEXTS, B_TEXTS, load_golden
 from test_formula import formulas
 
@@ -270,9 +270,17 @@ class TestMultiBlock:
         names = _names(n)
         row = _oracle_row(names, index)
         f = _only_row(names, row)
+        false_row = _oracle_first(names, lambda e: oracle_eval(f, e) == 0)
         assert first_row(f, 1) == row == _oracle_first(names, lambda e: oracle_eval(f, e) == 1)
         assert first_row(Not(f), 0) == row
-        assert first_row(f, 0) == _oracle_first(names, lambda e: oracle_eval(f, e) == 0)
+        assert first_row(f, 0) == false_row
+        assert list(first_rows(f)) == [(0, false_row), (1, row)]  # in table order
+        # a tautology and a contradiction on the same atoms take one value only
+        cols, mask = bit_columns(names), (1 << 2**n) - 1
+        for g in (Bin(Operator.OR, f, Not(f)), Bin(Operator.AND, f, Not(f))):
+            ones = bit_eval(g, cols, mask)
+            assert ones in (0, mask)
+            assert dict(first_rows(g)) == {ones & 1: _oracle_row(names, 0)}
         assert not is_contradiction(f) and not is_tautology(f)
 
     @pytest.mark.parametrize("n", [13, 16])
@@ -343,3 +351,29 @@ class TestMultiBlock:
             sub = subformula_at(f, col.path)
             for i in sample:
                 assert col.values[i] == oracle_eval(sub, envs[i])
+
+
+class TestEarlyExit:
+    """A question decided at row 0 costs one kernel pass, even at 24 atoms."""
+
+    F = _chain([f"a{i}" for i in range(24)], Operator.OR)  # true at row 0
+
+    @pytest.mark.parametrize(
+        "question",
+        [
+            lambda f: first_row(f, 1) == dict.fromkeys(atoms_of(f), 1),
+            lambda f: not is_tautology(Not(f)),
+            lambda f: not is_contradiction(f),
+            lambda f: not is_parallel(f, Not(f)).holds,
+            lambda f: not is_perpendicular(f, f).holds,
+        ],
+        ids=["first_row", "is_tautology", "is_contradiction", "is_parallel", "is_perpendicular"],
+    )
+    def test_one_pass(self, kernel_passes, question):
+        assert question(self.F)
+        assert len(kernel_passes) == 1
+
+    def test_too_many_atoms_raise_before_any_pass(self, kernel_passes):
+        with pytest.raises(TooManyAtoms):
+            first_rows(Bin(Operator.OR, self.F, Atom("a24")))
+        assert kernel_passes == []
