@@ -60,8 +60,8 @@ def definiens(op: Operator, a: Formula, b: Formula) -> Formula:
     raise ValueError(f"{op.value} is primitive, not defined")
 
 
-# Operand stand-ins that turn a definiens into a pattern.
-_A, _B = Atom("a"), Atom("b")
+# Each definiens over two atoms, the operand stand-ins, as a pattern.
+_PATTERNS = {op: definiens(op, Atom("a"), Atom("b")) for op in DEFINED_OPS}
 
 
 def match_definiens(op: Operator, f: Formula) -> tuple[Formula, Formula] | None:
@@ -70,8 +70,10 @@ def match_definiens(op: Operator, f: Formula) -> tuple[Formula, Formula] | None:
     The definiens of ``op`` over two atoms serves as the pattern; each
     atom in it stands for an operand, bound on first sight.
     """
+    if op not in _PATTERNS:
+        raise ValueError(f"{op.value} is primitive, not defined")
     bound: dict[str, Formula] = {}
-    todo = [(definiens(op, _A, _B), f)]
+    todo = [(_PATTERNS[op], f)]
     while todo:
         pattern, node = todo.pop()
         if isinstance(pattern, Atom):

@@ -27,6 +27,8 @@ class Dialect(enum.Enum):
     UNICODE = "unicode"
     ASCII = "ascii"
 
+    __hash__ = object.__hash__  # as Operator's: no Python-level hash per lookup
+
 
 # What render writes, per dialect; parse accepts both dialects.
 _OPS = {
@@ -153,17 +155,8 @@ def parse(text: str) -> Formula:
             negations, left, op = stack.pop()
 
 
-def render(
-    f: Formula, dialect: Dialect = Dialect.ASCII, texts: dict[Formula, str] | None = None
-) -> str:
-    """Fully parenthesized canonical text; `parse(render(f, d)) == f`.
-
-    ``texts`` lets calls share work: it maps formulas to their text in
-    ``dialect``, a node found there is written as one piece, and ``f``'s
-    text is stored there.
-    """
-    if texts is None:
-        texts = {}
+def render(f: Formula, dialect: Dialect = Dialect.ASCII) -> str:
+    """Fully parenthesized canonical text; `parse(render(f, d)) == f`."""
     infix = _INFIX[dialect]
     neg = _NEG[dialect]
     out = []
@@ -175,13 +168,70 @@ def render(
             out.append(node)
         elif kind is Atom:
             out.append(node.name)
-        elif (text := texts.get(node)) is not None:
-            out.append(text)
         elif kind is Not:
             out.append(neg)
             todo.append(node.child)
         else:
             out.append("(")
             todo += (")", node.right, infix[node.op], node.left)
-    text = texts[f] = "".join(out)
-    return text
+    return "".join(out)
+
+
+class TextMemo:
+    """The ASCII ``render`` text of each node met so far, kept up to a budget.
+
+    ``spell(f)`` walks the nodes of ``f`` it has not kept, children first,
+    and writes each from its children's texts: ``!`` before the child, or
+    ``(left op right)``.  It keeps each text in ``texts`` (node to text),
+    and in ``nodes`` (text to node) if that is a dict, and takes its length
+    off ``budget``, which the caller raises.  The texts of a deep formula's
+    nodes sum to O(nodes × depth), so the walk stops as soon as ``budget``
+    is not positive, and the kept text exceeds what was granted by less
+    than one node's text.
+    """
+
+    def __init__(self, nodes: dict[str, Formula] | None = None):
+        self.texts: dict[Formula, str] = {}
+        self.nodes = nodes
+        self.budget = 0
+
+    def spell(self, f: Formula) -> str | None:
+        """``render(f)``, or None if the budget ran out before ``f``'s text."""
+        texts = self.texts
+        text = texts.get(f)
+        if text is not None or self.budget <= 0:
+            return text
+        nodes, budget = self.nodes, self.budget
+        infix, neg = _INFIX[Dialect.ASCII], _NEG[Dialect.ASCII]
+        todo = [f]
+        while todo:
+            node = todo[-1]
+            kind = type(node)
+            if kind is Atom:
+                text = node.name
+            elif kind is Not:
+                text = texts.get(node.child)
+                if text is None:
+                    todo.append(node.child)
+                    continue
+                text = neg + text
+            else:
+                left, right = texts.get(node.left), texts.get(node.right)
+                if left is None or right is None:
+                    if right is None:
+                        todo.append(node.right)
+                    if left is None:
+                        todo.append(node.left)
+                    continue
+                text = f"({left}{infix[node.op]}{right})"
+            todo.pop()
+            if node in texts:  # shared: met again before its first visit was done
+                continue
+            texts[node] = text
+            if nodes is not None:
+                nodes[text] = node
+            budget -= len(text)
+            if budget <= 0:
+                break
+        self.budget = budget
+        return texts.get(f)

@@ -7,6 +7,7 @@ negation run, or a truth column carried along the construction), not from
 """
 
 import copy
+import functools
 import itertools
 import json
 import pickle
@@ -17,8 +18,9 @@ import sys
 import pytest
 
 from plogic import Atom, Bin, Dialect, Not, Operator, parse, render, table_labels, truth_table
-from plogic.proof import check_proof, prove_tautology
+from plogic.proof import check_proof, load_proof, proof_to_json, proof_to_text, prove_tautology
 from test_cli import run_cli
+from test_proofio import _reference_dict, _reference_text
 
 DEEP = "!" * 3000 + "p"  # an even run: the same truth table as p
 
@@ -160,12 +162,32 @@ def test_upsilon_round_trip_deep_mixed_formula(tmp_path):
     assert (dec.returncode, dec.stdout) == (0, render(f) + "\n")
 
 
-def test_prove_and_check_under_1100_negations():
-    goal = parse("!" * 1100 + "(p or !p)")
-    proof = prove_tautology(goal)
+@pytest.fixture(scope="module")
+def negations_1100():
+    return prove_tautology(parse("!" * 1100 + "(p or !p)"))
+
+
+def test_prove_and_check_under_1100_negations(negations_1100):
+    proof = negations_1100
     assert len(proof.lines) == 8835
-    assert proof.lines[-1].formula is goal
+    assert proof.lines[-1].formula is parse("!" * 1100 + "(p or !p)")
     assert check_proof(proof).accepted
+
+
+def test_dump_and_load_under_1100_negations(negations_1100, monkeypatch):
+    """Lines of about 2,000 characters whose formulas' node texts sum to
+    about 600,000: proof I/O's text budget runs out on many lines, not only
+    on the first, and those are written by plain ``render``."""
+    proof = negations_1100
+    plain = []
+    monkeypatch.setattr("plogic.proof.io.render", lambda f: plain.append(f) or render(f))
+    text, as_json = proof_to_text(proof), proof_to_json(proof)
+    assert len(plain) > 10
+    spell = functools.cache(render)  # the references share their formulas
+    assert text == _reference_text(proof, spell)
+    assert as_json == json.dumps(_reference_dict(proof, spell), indent=2) + "\n"
+    assert load_proof(text) == proof
+    assert load_proof(as_json) == proof
 
 
 # A one-line AX2 proof whose metavariable A is 200,000 nested negations

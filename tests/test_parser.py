@@ -10,6 +10,7 @@ from plogic.errors import (
     UnexpectedToken,
     UnknownToken,
 )
+from plogic.parser import TextMemo
 
 from test_formula import formulas
 
@@ -134,6 +135,42 @@ def test_round_trip_both_dialects(f):
     assert parse(render(f, Dialect.UNICODE)) == f
 
 
+@st.composite
+def _sharing(draw):
+    """Formulas, each later one possibly built from earlier ones, so that
+    they share subterms with each other and within themselves."""
+    pool = draw(st.lists(formulas(max_depth=3), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        op = draw(st.sampled_from([None, *Operator]))
+        pool.append(Not(a) if op is None else Bin(op, a, b))
+    return pool
+
+
+@given(_sharing(), st.sampled_from(["none", "short", "ample"]), st.data())
+def test_text_memo_spells_what_render_writes_within_its_budget(fs, budget, data):
+    """Each call is granted no budget, too little for the formula's new node
+    texts (so the walk stops inside it), or more than enough."""
+    memo = TextMemo({})
+    granted = 0
+    for f in fs:
+        if budget == "short":
+            grant = data.draw(st.integers(1, len(render(f))))
+        else:
+            grant = 0 if budget == "none" else 10**9
+        memo.budget += grant
+        granted += grant
+        text = memo.spell(f)
+        assert text in (None, render(f))
+        if budget != "short":
+            assert (text is None) == (budget == "none")
+    kept = list(memo.texts.values())
+    assert all(parse(text) is node for node, text in memo.texts.items())
+    assert memo.nodes == {text: node for node, text in memo.texts.items()}
+    assert memo.budget == granted - sum(map(len, kept))
+    assert not kept or sum(map(len, kept[:-1])) < granted  # over by at most the last node
+
+
 @given(st.text(max_size=40))
 def test_arbitrary_text_parses_or_raises_a_parse_error(text):
     try:
@@ -157,5 +194,8 @@ def test_arbitrary_text_parses_or_raises_a_parse_error(text):
 )
 def test_depth_is_bounded_only_by_memory(text, canonical):
     assert render(parse(text)) == canonical
+    memo = TextMemo()
+    memo.budget = len(canonical) ** 2
+    assert memo.spell(parse(text)) == canonical
     assert render(parse(canonical), Dialect.UNICODE) == canonical.replace(
         "!", "¬").replace(" imp ", " → ").replace(" or ", " ∨ ")
