@@ -21,7 +21,7 @@ import enum
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Container, Union
+from typing import Union
 
 from .errors import NoDual, PathError
 
@@ -238,10 +238,9 @@ class Language(enum.Enum):
     ATOMIC = "ATOMIC"
 
 
-def subformulas(f: Formula, known: Container[Formula] = ()) -> list[Formula]:
+def subformulas(f: Formula) -> list[Formula]:
     """Each distinct subformula of ``f`` once, children before parents and
-    left before right, so ``f`` itself comes last.  A node in ``known`` is
-    left out, and the walk does not enter it.
+    left before right, so ``f`` itself comes last.
 
     One loop over an explicit stack: any nesting depth costs only memory,
     and a node shared by several parents is visited once.
@@ -252,8 +251,6 @@ def subformulas(f: Formula, known: Container[Formula] = ()) -> list[Formula]:
         node = stack.pop()
         if node is None:  # the node beneath has its children done
             done[stack.pop()] = None
-        elif node in known:
-            pass
         elif isinstance(node, Atom):
             done[node] = None
         elif node not in done:

@@ -201,19 +201,12 @@ def _sum_left(b: _Builder, p: Formula, impl: int) -> int:
     return b.mp(four, impl)
 
 
-def _sum_right(b: _Builder, impl: int, a: Formula) -> int:
-    """From X imp Y: (X or A) imp (Y or A)."""
-    f = b.formula_at(impl)
-    assert isinstance(f, Bin) and f.op is _IMP
-    x, y = f.left, f.right
-    target = _imp(_disj(x, a), _disj(y, a))
-    hit = b.have(target)
-    if hit is not None:
-        return hit
-    left = b.axiom(3, A=x, B=a)  # (X or A) imp (A or X)
-    mid = _sum_left(b, a, impl)  # (A or X) imp (A or Y)
-    right = b.axiom(3, A=a, B=y)  # (A or Y) imp (Y or A)
-    return _syl(b, _syl(b, left, mid), right)
+def _cases(b: _Builder, impl: int, line: int) -> int:
+    """From X imp Y and a line X or A: A or Y."""
+    f = b.formula_at(line)
+    assert isinstance(f, Bin) and f.op is _OR
+    swapped = b.mp(b.axiom(3, A=f.left, B=f.right), line)  # A or X
+    return b.mp(_sum_left(b, f.right, impl), swapped)
 
 
 def _add_right(b: _Builder, a: Formula, p: Formula) -> int:
@@ -236,9 +229,9 @@ def _absorb(b: _Builder, impl: int) -> int:
     hit = b.have(target)
     if hit is not None:
         return hit
-    doubled = _sum_right(b, impl, y)  # (A or Y) imp (Y or Y)
-    collapse = b.axiom(1, A=y)  # (Y or Y) imp Y
-    return _syl(b, doubled, collapse)
+    swap = b.axiom(3, A=a, B=y)  # (A or Y) imp (Y or A)
+    doubled = _syl(b, swap, _sum_left(b, y, impl))  # (A or Y) imp (Y or Y)
+    return _syl(b, doubled, b.axiom(1, A=y))
 
 
 def _exch(b: _Builder, a: Formula, c: Formula, d: Formula) -> int:
@@ -257,18 +250,6 @@ def _exch(b: _Builder, a: Formula, c: Formula, d: Formula) -> int:
     return _syl(b, lifted, drop)
 
 
-def _assoc_left(b: _Builder, x: Formula, y: Formula, z: Formula) -> int:
-    """((X or Y) or Z) imp (X or (Y or Z))"""
-    target = _imp(_disj(_disj(x, y), z), _disj(x, _disj(y, z)))
-    hit = b.have(target)
-    if hit is not None:
-        return hit
-    spin = b.axiom(3, A=_disj(x, y), B=z)  # ((X or Y) or Z) imp (Z or (X or Y))
-    pull = _exch(b, z, x, y)  # (Z or (X or Y)) imp (X or (Z or Y))
-    fix = _sum_left(b, x, b.axiom(3, A=z, B=y))  # (X or (Z or Y)) imp (X or (Y or Z))
-    return _syl(b, _syl(b, spin, pull), fix)
-
-
 def _dni(b: _Builder, a: Formula) -> int:
     """A imp !!A"""
     target = _imp(a, Not(Not(a)))
@@ -285,10 +266,12 @@ def _nor_intro(b: _Builder, g: Formula, h: Formula) -> int:
     hit = b.have(target)
     if hit is not None:
         return hit
-    split = b.mp(_assoc_left(b, g, h, z), _lem(b, _disj(g, h)))  # G or (H or Z)
-    step1 = b.mp(_sum_right(b, _dni(b, g), _disj(h, z)), split)  # !!G or (H or Z)
-    inner = _sum_right(b, _dni(b, h), z)  # (H or Z) imp (!!H or Z)
-    step2 = b.mp(_sum_left(b, Not(Not(g)), inner), step1)  # !!G or (!!H or Z)
+    lem = _lem_flipped(b, _disj(g, h))  # Z or (G or H)
+    split = b.mp(_exch(b, z, g, h), lem)  # G or (Z or H)
+    moved = _cases(b, _dni(b, g), split)  # (Z or H) or !!G
+    inner = _syl(b, _sum_left(b, z, _dni(b, h)), b.axiom(3, A=z, B=Not(Not(h))))
+    # inner: (Z or H) imp (!!H or Z)
+    step2 = _cases(b, inner, moved)  # !!G or (!!H or Z)
     folded = _def_step(b, step2, _IMP, (Step.RIGHT,), Direction.FOLD)
     return _fold_imp_root(b, folded)
 
@@ -335,10 +318,6 @@ def _pull_body(
     return _pull_guard(b, idx, guards[:-1] + (body,), guards[-1], len(guards) - 1)
 
 
-def _residue(guards: tuple[Formula, ...]) -> Formula:
-    return _nest(guards[:-1], guards[-1])
-
-
 def _residue_impl(
     b: _Builder, guards: tuple[Formula, ...], body: Formula
 ) -> int:
@@ -363,11 +342,9 @@ def _guarded_mp(
     fronted = _pull_guard(b, unfolded, guards + (Not(x),), z, k)  # !X or goal
     bridge = _fold_imp_root(b, fronted)  # X imp goal
     arg_front = _pull_body(b, arg_clause, guards, x)  # X or residue
-    res = _residue(guards)
-    shifted = b.mp(_sum_right(b, bridge, res), arg_front)  # goal or residue
-    flipped = b.mp(b.axiom(3, A=goal, B=res), shifted)  # residue or goal
-    soak = _absorb(b, _residue_impl(b, guards, z))  # (residue or goal) imp goal
-    return b.mp(soak, flipped)
+    flipped = _cases(b, bridge, arg_front)  # residue or goal
+    doubled = _cases(b, _residue_impl(b, guards, z), flipped)  # goal or goal
+    return b.mp(b.axiom(1, A=goal), doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +443,7 @@ def _case_split(
     bridge = _fold_imp_root(b, on)  # q imp D, folded while on is the last line
     off = _case_split(b, nodes, atom_names, {**values, name: 0})  # q or D
     d = b.formula_at(bridge).right
-    doubled = b.mp(_sum_right(b, bridge, d), off)  # D or D
+    doubled = _cases(b, bridge, off)  # D or D
     return b.mp(b.axiom(1, A=d), doubled)
 
 

@@ -414,7 +414,7 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 
 
 # verify --json: one object, {accepted, line, reason, detail, lines}, on
-# exit 0 and 4.  Each mutant edits the 40-line proof of (p or !p); in it,
+# exit 0 and 4.  Each mutant edits the 35-line proof of (p or !p); in it,
 # entry 1 is an AX2 line, entry 2 a DEF line and entry 5 an MP line.
 # UnsupportedJustification is left out: the loader builds no other kind of
 # line, so no file reaches it.
@@ -428,7 +428,7 @@ VERIFY_MUTANTS = [
      "line 3 does not match the antecedent of line 5"),
     (("lines", 2, "just", "path"), "L", 3, "DefMismatch",
      "subformula at path is not a imp application"),
-    (("goal",), "(q or !q)", 40, "GoalMismatch", "last line does not equal the goal"),
+    (("goal",), "(q or !q)", 35, "GoalMismatch", "last line does not equal the goal"),
     (("lines", 1, "index"), 3, 2, "BadLineIndex", "expected index 2, found 3"),
 ]
 
@@ -451,8 +451,8 @@ def test_verify_json_reports_an_accepted_proof(tmp_path, capsys, excluded_middle
     path = tmp_path / "p.prf"
     path.write_text(proof_to_text(excluded_middle), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
-    assert plain == (0, "accepted (40 lines)\n", "")
-    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 40}
+    assert plain == (0, "accepted (35 lines)\n", "")
+    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 35}
     assert machine == (0, json.dumps(expected, indent=2) + "\n", "")
 
 
@@ -466,7 +466,7 @@ def test_verify_json_reports_each_rejection(
     path.write_text(_edited_json(excluded_middle, keys, value), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
     assert plain == (4, f"rejected at line {line}: {reason} ({detail})\n", "")
-    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 40}
+    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 35}
     assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
 
 

@@ -131,13 +131,6 @@ class TestSubformulas:
         f = Bin(Operator.OR, Not(a), Bin(Operator.IMP, a, P))
         assert subformulas(f) == [P, Q, a, Not(a), Bin(Operator.IMP, a, P), f]
 
-    def test_known_nodes_are_left_out_and_not_entered(self):
-        a = Bin(Operator.AND, P, Q)
-        f = Bin(Operator.OR, Not(a), Bin(Operator.IMP, a, P))
-        # P lies below a, but the walk also reaches it from the right
-        assert subformulas(f, {a}) == [Not(a), P, Bin(Operator.IMP, a, P), f]
-        assert subformulas(f, {f}) == []
-
     def test_depth_costs_only_memory(self):
         f = P
         for _ in range(100_000):

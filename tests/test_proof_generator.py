@@ -100,21 +100,25 @@ def test_proofs_use_only_the_three_rule_kinds():
     )
 
 
+DEFINED_CONNECTIVE_GOALS = [
+    "p xiff p",
+    "!(p nimp p)",
+    "!(p nor !p)",
+    "(p nand q) iff !(p and q)",
+    "!((p xor q) xiff !(p xor q))",
+]
+FOUR_ATOM_GOAL = "((a or b) or (c or d)) iff ((d or c) or (b or a))"
+
+
 def test_goals_with_every_defined_connective():
-    for text in [
-        "p xiff p",
-        "!(p nimp p)",
-        "!(p nor !p)",
-        "(p nand q) iff !(p and q)",
-        "!((p xor q) xiff !(p xor q))",
-    ]:
+    for text in DEFINED_CONNECTIVE_GOALS:
         proof = prove_tautology(parse(text))
         result = check_proof(proof)
         assert result.accepted, (text, result.reason)
 
 
 def test_four_atom_goal():
-    proof = prove_tautology(parse("((a or b) or (c or d)) iff ((d or c) or (b or a))"))
+    proof = prove_tautology(parse(FOUR_ATOM_GOAL))
     assert check_proof(proof).accepted
 
 
@@ -123,24 +127,24 @@ def test_four_atom_goal():
 # says why.
 MAIN_RESULT_PROOFS = [
     (
-        3944,
-        "a8b516d6daf5fa518d9f3a712b071619b315275d4f60c4a3bd50e0174e182f11",
-        "e466c3195e9c318a108f30c8a3f835cc47b6b7ff1e34063e2d2dda49bc9af1bd",
+        3474,
+        "7e8da408c64d14131f296416bc60893f6dda368a6039d0fb93641e914e8c3a6e",
+        "b58bf764e866c147b33558cba9561719b8e13da5e33864cb80d38aa9eafab8f3",
     ),
     (
-        4142,
-        "8848fd55981578b7c7b443266d3c3d3fc2e548a08408d9b89fc22b685940d610",
-        "cee9803bb42e546e160cd19adee0092da732e49c762b388b2fafa0274816ddac",
+        3672,
+        "dc95ae3cef940aeae45bc47c4ef162308fb23987fbf7cdd10d39f23ae9ae7d81",
+        "f979dc9664dc499d282df0e2eb0f1321a2d4971d7edfa79e43e3eda9456eb8b7",
     ),
     (
-        5865,
-        "b7b81d9295970a8f535deca8f344b5bc955089becf9ac8e470cebcb0d221a413",
-        "654fb757bd6b6aa485484619525af56a9d3a52aa20ef93050d72b4bbc436d3f8",
+        5178,
+        "dbb4f838f1bf860a8c2658d9092d7b97ca96e4720b682a4b9a57badfdb2debc4",
+        "525173e18293dbbbb2315bd1517b6450509f4c7c2005d3155048d96426d15af1",
     ),
     (
-        5886,
-        "9e28ba8c79acdd9f984ab7acb231bf6eda193ac994eb019d903e86fb066e0bef",
-        "8a0c28c740abf78188fdf31c0d1bd2a2b491be059477882a897f97c33f855362",
+        5199,
+        "ae9c4652e7c6c54b0e9dcb85e35bdf646435c856d2f654a4d7b2aef2d6a01a1b",
+        "98e493ea56fa4de938f1a02d6f28c498ae29511313f3a990f262f18e2a0bbf51",
     ),
 ]
 
@@ -158,7 +162,7 @@ def test_main_result_proofs_are_pinned():
 
 def test_no_line_repeats_an_earlier_formula():
     """A generated proof never copies a line: each formula is new."""
-    deep = prove_tautology(parse("!" * 1100 + "(p or !p)"))
-    for proof in prove_main_results() + [deep]:
+    texts = ["!" * 1100 + "(p or !p)", *DEFINED_CONNECTIVE_GOALS, FOUR_ATOM_GOAL]
+    for proof in prove_main_results() + [prove_tautology(parse(t)) for t in texts]:
         formulas = [line.formula for line in proof.lines]
-        assert len(set(formulas)) == len(formulas)
+        assert len(set(formulas)) == len(formulas), proof.goal
