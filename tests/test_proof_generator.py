@@ -93,6 +93,25 @@ def test_random_tautology_corpus_is_accepted(rng):
         accepted += 1
 
 
+def test_case_step_resolves_an_implication_against_a_disjunction():
+    """From X imp Y and a line X or A, _cases derives A or Y in five lines:
+    AX3 and its MP, then AX4 and two MPs."""
+    from plogic import Operator
+    from plogic.proof.objects import Direction, Proof
+    from plogic.proof.prover import _Builder, _cases, _def_step
+
+    b = _Builder()
+    p, q, r = parse("p"), parse("q"), parse("r")
+    unfold = (Operator.IMP, (), Direction.UNFOLD)
+    line = _def_step(b, b.axiom(2, A=p, B=q), *unfold)  # !p or (p or q)
+    impl = b.axiom(2, A=Not(p), B=r)  # !p imp (!p or r)
+    before = len(b.lines)
+    out = _cases(b, impl, line)
+    assert (out, len(b.lines) - before) == (len(b.lines), 5)
+    assert b.formula_at(out) == parse("(p or q) or (!p or r)")
+    assert check_proof(Proof(goal=b.formula_at(out), lines=b.lines)).accepted
+
+
 def test_proofs_use_only_the_three_rule_kinds():
     proof = prove_tautology(parse("p imp p"))
     assert all(
