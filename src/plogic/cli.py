@@ -271,11 +271,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, renders: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument(
-            "--unicode", action="store_true", help="render with unicode glyphs"
-        )
+        if renders:  # only a command that prints a formula takes --unicode
+            p.add_argument(
+                "--unicode", action="store_true", help="render with unicode glyphs"
+            )
 
     p = sub.add_parser("parse", help="validate a formula and echo canonical form")
     p.add_argument("formula")
@@ -292,7 +293,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relate", help="test the parallel and perpendicular relations")
     p.add_argument("a")
     p.add_argument("b")
-    common(p)
+    common(p, renders=False)
 
     p = sub.add_parser("transform", help="apply a rewriting rule")
     p.add_argument(
@@ -311,11 +312,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit proofs of the four regrouping biconditionals",
     )
-    common(p)
+    common(p, renders=False)
 
     p = sub.add_parser("verify", help="check a proof file")
     p.add_argument("proof_file")
-    p.add_argument("--json", action="store_true", help="machine output")
+    common(p, renders=False)
 
     return top
 

@@ -10,7 +10,8 @@ branch for the assignment v is derived directly as the closed theorem
 where Li is !qi when v(qi) = 1 and qi when v(qi) = 0, for the atoms
 q1 ... qn in order, and f0 is the goal rewritten into the primitive not/or
 language.  Within a branch, the usual induction over subformulas runs
-underneath the guard literals, lifted by the sum axiom.  The case split
+underneath the guard literals, lifted by the sum axiom; as in Kalmár's
+lemma, each subformula has only its own atoms' guards.  The case split
 fixes q1 first and qn last, so two branches that differ only in qn differ
 only in their outermost guard, and resolving qn against !qn merges them;
 this repeats, newest atom first, until no guards remain.  Finally DEF lines
@@ -139,17 +140,10 @@ def _fold_imp_root(b: _Builder, idx: int) -> int:
 
 def _imp_self(b: _Builder, a: Formula) -> int:
     """A imp A"""
-    target = _imp(a, a)
-    hit = b.have(target)
+    hit = b.have(_imp(a, a))
     if hit is not None:
         return hit
-    two = b.axiom(2, A=a, B=a)  # A imp (A or A)
-    unfolded = _def_step(b, two, _IMP, (), Direction.UNFOLD)  # !A or (A or A)
-    one = b.axiom(1, A=a)  # (A or A) imp A
-    four = b.axiom(4, A=Not(a), B=_disj(a, a), C=a)
-    chain = b.mp(four, one)  # (!A or (A or A)) imp (!A or A)
-    weak_lem = b.mp(chain, unfolded)  # !A or A
-    return _fold_imp_root(b, weak_lem)
+    return _syl(b, b.axiom(2, A=a, B=a), b.axiom(1, A=a))
 
 
 def _lem_flipped(b: _Builder, a: Formula) -> int:
@@ -185,8 +179,9 @@ def _syl(b: _Builder, first: int, second: int) -> int:
     four = b.axiom(4, A=Not(x), B=y, C=z)
     chain = b.mp(four, second)  # (!X or Y) imp (!X or Z)
     folded = _def_step(b, chain, _IMP, (Step.LEFT,), Direction.FOLD)  # (X imp Y) imp (!X or Z)
-    primitive = b.mp(folded, first)  # !X or Z
-    return _fold_imp_root(b, primitive)
+    if b.have(_disj(Not(x), z)) is not None:  # an older line, which a fold would copy
+        return b.mp(_def_step(b, folded, _IMP, (Step.RIGHT,), Direction.FOLD), first)
+    return _fold_imp_root(b, b.mp(folded, first))  # via !X or Z
 
 
 def _sum_left(b: _Builder, p: Formula, impl: int) -> int:
@@ -292,6 +287,25 @@ def _lift_mp(
     return b.mp(_lift_under(b, guards, impl), clause)
 
 
+def _widen(
+    b: _Builder, idx: int, have: tuple[Formula, ...], want: tuple[Formula, ...]
+) -> int:
+    """From nest(have, body): nest(want, body), where ``have`` lists some of
+    ``want``'s guards in ``want``'s order.  Each missing guard, outermost
+    first, goes in as _add_right of the tail, lifted under the guards before
+    it."""
+    tail = b.formula_at(idx)
+    j = 0
+    for i, g in enumerate(want):
+        if j < len(have) and have[j] is g:
+            j += 1
+        else:
+            idx = b.mp(_lift_under(b, want[:i], _add_right(b, tail, g)), idx)
+            tail = _disj(g, tail)
+        tail = tail.right
+    return idx
+
+
 def _pull_guard(
     b: _Builder,
     idx: int,
@@ -351,36 +365,6 @@ def _guarded_mp(
 # Branches and case elimination.
 
 
-def _guard_literals(
-    atom_names: list[str], values: dict[str, int]
-) -> tuple[Formula, ...]:
-    """The guards of the full assignment ``values``, newest first: the last
-    atom's literal is outermost, so the case split on it finds it in front."""
-    return tuple(Not(Atom(n)) if values[n] else Atom(n) for n in reversed(atom_names))
-
-
-def _atom_line(
-    b: _Builder,
-    guards: tuple[Formula, ...],
-    pos: int,
-    value: int,
-) -> int:
-    """nest(guards, lit) where lit is the signed atom guarded at ``pos``."""
-    q = guards[pos].child if value else guards[pos]
-    body = q if value else Not(q)
-    idx = _lem_flipped(b, q) if value else _lem(b, q)
-    lam = guards[pos]
-    tail = body
-    for j in range(len(guards) - 1, pos, -1):
-        widen = _add_right(b, tail, guards[j])  # tail imp (g_j or tail)
-        idx = b.mp(_sum_left(b, lam, widen), idx)
-        tail = _disj(guards[j], tail)
-    for j in range(pos - 1, -1, -1):
-        current = b.formula_at(idx)
-        idx = b.mp(_add_right(b, current, guards[j]), idx)
-    return idx
-
-
 def _derive_branch(
     b: _Builder,
     nodes: list[Formula],
@@ -390,27 +374,40 @@ def _derive_branch(
     """nest(guards(v), f0) for the full assignment v (a true branch), where
     f0 is the last of ``nodes``, its subformulas in ``subformulas`` order.
 
-    Lines come in the order of the natural recursion: a node's lemma, its
-    operands' lines, then the step joining them.  A todo entry (node, None)
-    enters a node and (node, lemma) finishes it; lemma 0 stands for none.
+    Each node is derived under ``own[node]``, its own atoms' guards, and a
+    disjunction widens its operands' lines to its own.  Lines come in the
+    order of the natural recursion: a node's lemma, its operands' lines,
+    then the step joining them.  A todo entry (node, None) enters a node
+    and (node, lemma) finishes it; lemma 0 stands for none.
     """
-    guards = _guard_literals(atom_names, values)
+    # newest atom first: the last atom's literal is outermost, so the case
+    # split on it finds it in front
+    guards = tuple(Not(Atom(n)) if values[n] else Atom(n) for n in reversed(atom_names))
     value = _fill_columns(nodes, values, 1)
+    own: dict[Formula, tuple[Formula, ...]] = {}
+    for node in nodes:
+        if isinstance(node, Atom):
+            own[node] = (Not(node) if values[node.name] else node,)
+        elif isinstance(node, Not):
+            own[node] = own[node.child]
+        else:
+            both = own[node.left] + own[node.right]
+            own[node] = tuple(g for g in guards if g in both)
     line: dict[Formula, int] = {}
     todo: list[tuple[Formula, int | None]] = [(nodes[-1], None)]
     while todo:
         node, lemma = todo.pop()
         if lemma is None and node in line:
             continue
+        mine = own[node]
         if isinstance(node, Atom):
-            pos = len(atom_names) - 1 - atom_names.index(node.name)
-            line[node] = _atom_line(b, guards, pos, values[node.name])
+            line[node] = _lem_flipped(b, node) if values[node.name] else _lem(b, node)
         elif isinstance(node, Not):
             x = node.child
             if lemma is None:
                 todo += ((node, _dni(b, x) if value[x] else 0), (x, None))
             else:  # a false child's signed form is this very formula
-                line[node] = _lift_mp(b, guards, lemma, line[x]) if lemma else line[x]
+                line[node] = _lift_mp(b, mine, lemma, line[x]) if lemma else line[x]
         else:
             assert isinstance(node, Bin) and node.op is _OR
             g, h = node.left, node.right
@@ -422,10 +419,12 @@ def _derive_branch(
                 else:
                     todo += ((node, 0), (h, None), (g, None))
             elif lemma:
-                line[node] = _lift_mp(b, guards, lemma, line[g if value[g] else h])
-            else:
-                curried = _lift_mp(b, guards, _nor_intro(b, g, h), line[g])
-                line[node] = _guarded_mp(b, guards, curried, line[h], Not(h), Not(_disj(g, h)))
+                x = g if value[g] else h
+                line[node] = _lift_mp(b, mine, lemma, _widen(b, line[x], own[x], mine))
+            else:  # widen h first, so that _guarded_mp unfolds the newest line
+                arg = _widen(b, line[h], own[h], mine)
+                curried = _lift_mp(b, mine, _nor_intro(b, g, h), _widen(b, line[g], own[g], mine))
+                line[node] = _guarded_mp(b, mine, curried, arg, Not(h), Not(node))
     return line[nodes[-1]]
 
 
@@ -483,9 +482,7 @@ def prove_tautology(f: Formula) -> Proof:
     idx = _case_split(b, subformulas(f0), names, {})
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)
-    if b.lines[-1].formula != f:
-        idx = _copy(b, idx)
-    return Proof(goal=f, lines=b.lines)
+    return Proof(goal=f, lines=b.lines[:idx])  # an older goal line ends the proof
 
 
 def main_result_goals() -> list[Formula]:

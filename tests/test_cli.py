@@ -177,6 +177,19 @@ def test_prove_rejects_an_argument_it_would_ignore(monkeypatch, capsys, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["prove", "(p or !p)"], ["relate", "p", "!p"]], ids=["prove", "relate"]
+)
+def test_unicode_is_a_usage_error_where_no_formula_is_printed(capsys, argv):
+    # prove always writes ASCII proofs, and relate prints no formula
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--unicode"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: plogic ")
+    assert err[1].endswith("unrecognized arguments: --unicode")
+
+
 @pytest.mark.parametrize("rule", ["psi", "psi-inv", "desugar"])
 def test_transform_trace_with_a_rule_that_has_none_is_a_usage_error(
     monkeypatch, capsys, tmp_path, rule
@@ -266,7 +279,7 @@ def _damaged_proof(keys, value) -> str:
     [
         (("lines", 3, "just"), MISSING),
         (("lines", 0, "index"), "1"),
-        (("lines", 2, "just", "direction"), "SIDEWAYS"),
+        (("lines", 5, "just", "direction"), "SIDEWAYS"),
         (("lines",), "x"),
         (("lines", 0, "formula"), 5),
         (None, None),
@@ -414,21 +427,21 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 
 
 # verify --json: one object, {accepted, line, reason, detail, lines}, on
-# exit 0 and 4.  Each mutant edits the 35-line proof of (p or !p); in it,
-# entry 1 is an AX2 line, entry 2 a DEF line and entry 5 an MP line.
+# exit 0 and 4.  Each mutant edits the 19-line proof of (p or !p); in it,
+# entry 0 is an AX2 line, entry 5 a DEF line and entry 6 an MP line.
 # UnsupportedJustification is left out: the loader builds no other kind of
 # line, so no file reaches it.
 
 VERIFY_MUTANTS = [
     (("lines", 0, "just", "schema"), 3, 1, "NotAnAxiomInstance",
      "formula is not the stated AX3 instance"),
-    (("lines", 5, "just", "major"), 9, 6, "BadMPReference",
-     "references 9,4 must be earlier lines"),
-    (("lines", 5, "just", "minor"), 3, 6, "MPShapeMismatch",
-     "line 3 does not match the antecedent of line 5"),
-    (("lines", 2, "just", "path"), "L", 3, "DefMismatch",
-     "subformula at path is not a imp application"),
-    (("goal",), "(q or !q)", 35, "GoalMismatch", "last line does not equal the goal"),
+    (("lines", 6, "just", "major"), 9, 7, "BadMPReference",
+     "references 9,2 must be earlier lines"),
+    (("lines", 6, "just", "minor"), 3, 7, "MPShapeMismatch",
+     "line 3 does not match the antecedent of line 6"),
+    (("lines", 5, "just", "path"), "", 6, "DefMismatch",
+     "subformula at path does not match the imp definition"),
+    (("goal",), "(q or !q)", 19, "GoalMismatch", "last line does not equal the goal"),
     (("lines", 1, "index"), 3, 2, "BadLineIndex", "expected index 2, found 3"),
 ]
 
@@ -451,8 +464,8 @@ def test_verify_json_reports_an_accepted_proof(tmp_path, capsys, excluded_middle
     path = tmp_path / "p.prf"
     path.write_text(proof_to_text(excluded_middle), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
-    assert plain == (0, "accepted (35 lines)\n", "")
-    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 35}
+    assert plain == (0, "accepted (19 lines)\n", "")
+    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 19}
     assert machine == (0, json.dumps(expected, indent=2) + "\n", "")
 
 
@@ -466,7 +479,7 @@ def test_verify_json_reports_each_rejection(
     path.write_text(_edited_json(excluded_middle, keys, value), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
     assert plain == (4, f"rejected at line {line}: {reason} ({detail})\n", "")
-    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 35}
+    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 19}
     assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
 
 

@@ -112,6 +112,27 @@ def test_case_step_resolves_an_implication_against_a_disjunction():
     assert check_proof(Proof(goal=b.formula_at(out), lines=b.lines)).accepted
 
 
+def test_widening_inserts_each_missing_guard_outermost_first():
+    """_widen turns nest((g1, g3), body) into nest((g0, g1, g2, g3, g4), body),
+    a guard going in in front, between and behind.  Each insertion costs
+    _add_right's seven lines, an AX4 and an MP per guard it is lifted under,
+    and its MP: 8 + 12 + 16 lines."""
+    from plogic import Operator
+    from plogic.proof.objects import Direction, Proof
+    from plogic.proof.prover import _Builder, _def_step, _nest, _widen
+
+    b = _Builder()
+    g0, g1, g2, g3, g4 = (parse(t) for t in ["a", "!b", "c", "b", "e"])
+    body = parse("q")
+    line = _def_step(b, b.axiom(2, A=g3, B=body), Operator.IMP, (), Direction.UNFOLD)
+    assert b.formula_at(line) == _nest((g1, g3), body)  # !b or (b or q)
+    before = len(b.lines)
+    out = _widen(b, line, (g1, g3), (g0, g1, g2, g3, g4))
+    assert (out, len(b.lines) - before) == (len(b.lines), 36)
+    assert b.formula_at(out) == _nest((g0, g1, g2, g3, g4), body)
+    assert check_proof(Proof(goal=b.formula_at(out), lines=b.lines)).accepted
+
+
 def test_proofs_use_only_the_three_rule_kinds():
     proof = prove_tautology(parse("p imp p"))
     assert all(
@@ -146,24 +167,24 @@ def test_four_atom_goal():
 # says why.
 MAIN_RESULT_PROOFS = [
     (
-        3474,
-        "7e8da408c64d14131f296416bc60893f6dda368a6039d0fb93641e914e8c3a6e",
-        "b58bf764e866c147b33558cba9561719b8e13da5e33864cb80d38aa9eafab8f3",
+        3415,
+        "e9b5db4482aec420938b4602dddcbc051a78f06b6f94d092ddda25813bd12029",
+        "a0beb33b66e2c175f130918acf42c5ea663dca5926486d718f6db5cf02ec550f",
     ),
     (
-        3672,
-        "dc95ae3cef940aeae45bc47c4ef162308fb23987fbf7cdd10d39f23ae9ae7d81",
-        "f979dc9664dc499d282df0e2eb0f1321a2d4971d7edfa79e43e3eda9456eb8b7",
+        3580,
+        "194bff10d159a6117f96f9a12e02834e39a416b17fd44f423c358cd5236ecb4a",
+        "c71958cb0bfa0c6bdc70eca8d18a2f8f26e6303849ad112e331bd92d21c40110",
     ),
     (
-        5178,
-        "dbb4f838f1bf860a8c2658d9092d7b97ca96e4720b682a4b9a57badfdb2debc4",
-        "525173e18293dbbbb2315bd1517b6450509f4c7c2005d3155048d96426d15af1",
+        4827,
+        "76d60f84bfe6e5753cc733c2e38e728dfbc7454649e85e855a4b7ffcb2250d89",
+        "485cd07eb3e0c45ee74fb07afba061cb388e9d8e7c1d235fac345dfc65c5289f",
     ),
     (
-        5199,
-        "ae9c4652e7c6c54b0e9dcb85e35bdf646435c856d2f654a4d7b2aef2d6a01a1b",
-        "98e493ea56fa4de938f1a02d6f28c498ae29511313f3a990f262f18e2a0bbf51",
+        4834,
+        "f6769d36ea0b6f32424eb3c0b1b0ff7eda8e0480327387c2faa65e2b63cd3c11",
+        "de8397a7ef220722d728b4c21be7e97c13f2359498d87bce907a14ce94ef0dfa",
     ),
 ]
 
@@ -181,7 +202,8 @@ def test_main_result_proofs_are_pinned():
 
 def test_no_line_repeats_an_earlier_formula():
     """A generated proof never copies a line: each formula is new."""
-    texts = ["!" * 1100 + "(p or !p)", *DEFINED_CONNECTIVE_GOALS, FOUR_ATOM_GOAL]
+    texts = ["!" * 1100 + "(p or !p)", "p or !p", "p imp p", *DEFINED_CONNECTIVE_GOALS,
+             FOUR_ATOM_GOAL]
     for proof in prove_main_results() + [prove_tautology(parse(t)) for t in texts]:
         formulas = [line.formula for line in proof.lines]
         assert len(set(formulas)) == len(formulas), proof.goal

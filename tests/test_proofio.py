@@ -89,8 +89,8 @@ def test_json_carries_the_goal(sample_proof):
 MISSING = object()
 
 # (keys to the edited JSON value, new value or MISSING, exact error message);
-# in the sample proof, entry 0 is an AX3 line, entry 2 a DEF line and
-# entry 5 an MP line.
+# in the sample proof, entry 0 is an AX3 line, entry 5 a DEF line and
+# entry 6 an MP line.
 MALFORMED_JSON = [
     ((), [], "proof: expected an object"),
     (("lines",), "x", "lines: expected a list"),
@@ -110,12 +110,12 @@ MALFORMED_JSON = [
      "lines[0].just.subst: expected strings mapped to strings"),
     (("lines", 0, "just", "subst", "A"), "%",
      "lines[0].just.subst.A: unknown token '%' at position 0"),
-    (("lines", 5, "just", "major"), 5.0, "lines[5].just.major: expected an integer"),
-    (("lines", 5, "just", "minor"), MISSING, "lines[5].just.minor: missing"),
-    (("lines", 2, "just", "name"), "FOO", "lines[2].just.name: unknown definition name 'FOO'"),
-    (("lines", 2, "just", "direction"), "SIDEWAYS",
-     "lines[2].just.direction: expected UNFOLD or FOLD, found 'SIDEWAYS'"),
-    (("lines", 2, "just", "path"), "LX", "lines[2].just.path: invalid path string 'LX'"),
+    (("lines", 6, "just", "major"), 5.0, "lines[6].just.major: expected an integer"),
+    (("lines", 6, "just", "minor"), MISSING, "lines[6].just.minor: missing"),
+    (("lines", 5, "just", "name"), "FOO", "lines[5].just.name: unknown definition name 'FOO'"),
+    (("lines", 5, "just", "direction"), "SIDEWAYS",
+     "lines[5].just.direction: expected UNFOLD or FOLD, found 'SIDEWAYS'"),
+    (("lines", 5, "just", "path"), "LX", "lines[5].just.path: invalid path string 'LX'"),
 ]
 
 

@@ -1,11 +1,15 @@
 """Each fenced ``python`` block of README.md runs as a doctest of its own,
-so every block must carry the imports it uses."""
+so every block must carry the imports it uses; the text-format example is
+cut from the proof it names."""
 
 import doctest
 import re
 from pathlib import Path
 
 import pytest
+
+from plogic import parse
+from plogic.proof import proof_to_text, prove_tautology
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -25,3 +29,12 @@ def test_readme_block(lineno, block):
     report: list[str] = []
     result = doctest.DocTestRunner().run(test, out=report.append)
     assert result.failed == 0, "".join(report)
+
+
+def test_the_text_format_example_is_cut_from_the_proof_of_p_or_not_p():
+    section = TEXT[TEXT.index("## Proof file formats"):TEXT.index("JSON mirror")]
+    shown = re.findall(r"^    (\d+\. .*)$", section, re.M)
+    proof = proof_to_text(prove_tautology(parse("p or !p"))).splitlines()
+    assert len(shown) >= 3
+    assert [line for line in shown if line not in proof] == []
+    assert shown[-1] == proof[-1]
