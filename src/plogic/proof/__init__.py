@@ -15,6 +15,7 @@ from .prover import (
     main_result_goals,
     prove_main_results,
     prove_tautology,
+    regrouping_goals,
 )
 from .objects import (
     AxiomJust,

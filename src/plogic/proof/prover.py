@@ -1,9 +1,14 @@
-"""Constructive proof generation for tautologies.
+"""Constructive proof generation for tautologies, by two methods.
 
-The classical recipe: case-split on the atoms, prove the goal under every
-full assignment, then eliminate the case hypotheses pairwise.  Instead of
-carrying hypotheses as premise lines and discharging them afterwards, a
-branch for the assignment v is derived directly as the closed theorem
+An equivalence A iff B whose sides share one normal form under !!X -> X
+and (X or Y) or Z -> X or (Y or Z) takes the rewrite route, as the paper's
+Hilbert-Ackermann derivations do: each side is rewritten to that form
+top-down, each step a derived lemma lifted into place by congruence, and
+the chained steps give A imp B and B imp A.  No truth table is needed, and
+proofs grow with the formula, not with 2^n.  Any other goal falls back to
+the classical recipe: case-split on the atoms, prove the goal under every
+full assignment, then eliminate the case hypotheses pairwise.  A branch for
+the assignment v is derived directly as the closed theorem
 
     Ln or (... (L2 or (L1 or f0)))
 
@@ -14,14 +19,13 @@ underneath the guard literals, lifted by the sum axiom; as in Kalmár's
 lemma, each subformula has only its own atoms' guards.  The case split
 fixes q1 first and qn last, so two branches that differ only in qn differ
 only in their outermost guard, and resolving qn against !qn merges them;
-this repeats, newest atom first, until no guards remain.  Finally DEF lines
-fold f0 back into the original goal.
+this repeats, newest atom first, until no guards remain.  Both methods end
+in DEF lines that fold f0 back into the original goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
 single DEF steps; theorems already on some line are reused by reference,
 never re-derived.
 """
-
 from __future__ import annotations
 
 # match_definiens stays bound for perfbench/spans.py, which wraps it
@@ -254,6 +258,38 @@ def _dni(b: _Builder, a: Formula) -> int:
     return _fold_imp_root(b, _lem(b, Not(a)))
 
 
+def _dne(b: _Builder, a: Formula) -> int:
+    """!!A imp A"""
+    if isinstance(a, Not):  # A = !W: fold !W or !!W, which _cases writes below, while it is new
+        _dni(b, a.child)
+    moved = _cases(b, _dni(b, Not(a)), _lem_flipped(b, a))  # A or !!!A
+    return _fold_imp_root(b, b.mp(b.axiom(3, A=a, B=Not(Not(Not(a)))), moved))
+
+
+def _sum_right(b: _Builder, p: Formula, impl: int) -> int:
+    """From X imp Y: (X or P) imp (Y or P)."""
+    f = b.formula_at(impl)
+    spin = _syl(b, b.axiom(3, A=f.left, B=p), _sum_left(b, p, impl))  # (X or P) imp (P or Y)
+    return _syl(b, spin, b.axiom(3, A=p, B=f.right))
+
+
+def _contra(b: _Builder, impl: int) -> int:
+    """From X imp Y: !Y imp !X."""
+    f = b.formula_at(impl)
+    via = _syl(b, impl, _dni(b, f.right))  # X imp !!Y, whose !X or !!Y is on a line
+    unfolded = _def_step(b, via, _IMP, (), Direction.UNFOLD)
+    return _fold_imp_root(b, b.mp(b.axiom(3, A=Not(f.left), B=Not(Not(f.right))), unfolded))
+
+
+def _assoc(b: _Builder, x: Formula, y: Formula, z: Formula, forward: bool) -> int:
+    """((X or Y) or Z) imp (X or (Y or Z)), or backward its converse."""
+    if forward:
+        spin = _syl(b, b.axiom(3, A=_disj(x, y), B=z), _exch(b, z, x, y))  # to X or (Z or Y)
+        return _syl(b, spin, _sum_left(b, x, b.axiom(3, A=z, B=y)))
+    swap = _syl(b, _sum_left(b, x, b.axiom(3, A=y, B=z)), _exch(b, x, z, y))  # to Z or (X or Y)
+    return _syl(b, swap, b.axiom(3, A=z, B=_disj(x, y)))
+
+
 def _nor_intro(b: _Builder, g: Formula, h: Formula) -> int:
     """!G imp (!H imp !(G or H))"""
     z = Not(_disj(g, h))
@@ -279,12 +315,6 @@ def _lift_under(b: _Builder, guards: tuple[Formula, ...], impl: int) -> int:
     for g in reversed(guards):
         impl = _sum_left(b, g, impl)
     return impl
-
-
-def _lift_mp(
-    b: _Builder, guards: tuple[Formula, ...], impl: int, clause: int
-) -> int:
-    return b.mp(_lift_under(b, guards, impl), clause)
 
 
 def _widen(
@@ -332,13 +362,6 @@ def _pull_body(
     return _pull_guard(b, idx, guards[:-1] + (body,), guards[-1], len(guards) - 1)
 
 
-def _residue_impl(
-    b: _Builder, guards: tuple[Formula, ...], body: Formula
-) -> int:
-    """residue(guards) imp nest(guards, body)"""
-    return _lift_under(b, guards[:-1], b.axiom(2, A=guards[-1], B=body))
-
-
 def _guarded_mp(
     b: _Builder,
     guards: tuple[Formula, ...],
@@ -357,7 +380,8 @@ def _guarded_mp(
     bridge = _fold_imp_root(b, fronted)  # X imp goal
     arg_front = _pull_body(b, arg_clause, guards, x)  # X or residue
     flipped = _cases(b, bridge, arg_front)  # residue or goal
-    doubled = _cases(b, _residue_impl(b, guards, z), flipped)  # goal or goal
+    residue = _lift_under(b, guards[:-1], b.axiom(2, A=guards[-1], B=z))  # residue imp goal
+    doubled = _cases(b, residue, flipped)  # goal or goal
     return b.mp(b.axiom(1, A=goal), doubled)
 
 
@@ -370,6 +394,7 @@ def _derive_branch(
     nodes: list[Formula],
     atom_names: list[str],
     values: dict[str, int],
+    line: dict,
 ) -> int:
     """nest(guards(v), f0) for the full assignment v (a true branch), where
     f0 is the last of ``nodes``, its subformulas in ``subformulas`` order.
@@ -378,7 +403,8 @@ def _derive_branch(
     disjunction widens its operands' lines to its own.  Lines come in the
     order of the natural recursion: a node's lemma, its operands' lines,
     then the step joining them.  A todo entry (node, None) enters a node
-    and (node, lemma) finishes it; lemma 0 stands for none.
+    and (node, lemma) finishes it; lemma 0 stands for none.  ``line`` maps
+    (node, own guards) across branches: no node is derived twice.
     """
     # newest atom first: the last atom's literal is outermost, so the case
     # split on it finds it in front
@@ -393,21 +419,21 @@ def _derive_branch(
         else:
             both = own[node.left] + own[node.right]
             own[node] = tuple(g for g in guards if g in both)
-    line: dict[Formula, int] = {}
     todo: list[tuple[Formula, int | None]] = [(nodes[-1], None)]
     while todo:
         node, lemma = todo.pop()
-        if lemma is None and node in line:
-            continue
         mine = own[node]
+        if lemma is None and (node, mine) in line:
+            continue
         if isinstance(node, Atom):
-            line[node] = _lem_flipped(b, node) if values[node.name] else _lem(b, node)
+            line[node, mine] = _lem_flipped(b, node) if values[node.name] else _lem(b, node)
         elif isinstance(node, Not):
             x = node.child
             if lemma is None:
                 todo += ((node, _dni(b, x) if value[x] else 0), (x, None))
             else:  # a false child's signed form is this very formula
-                line[node] = _lift_mp(b, mine, lemma, line[x]) if lemma else line[x]
+                arg = line[x, mine]
+                line[node, mine] = b.mp(_lift_under(b, mine, lemma), arg) if lemma else arg
         else:
             assert isinstance(node, Bin) and node.op is _OR
             g, h = node.left, node.right
@@ -420,30 +446,133 @@ def _derive_branch(
                     todo += ((node, 0), (h, None), (g, None))
             elif lemma:
                 x = g if value[g] else h
-                line[node] = _lift_mp(b, mine, lemma, _widen(b, line[x], own[x], mine))
+                arg = _widen(b, line[x, own[x]], own[x], mine)
+                line[node, mine] = b.mp(_lift_under(b, mine, lemma), arg)
             else:  # widen h first, so that _guarded_mp unfolds the newest line
-                arg = _widen(b, line[h], own[h], mine)
-                curried = _lift_mp(b, mine, _nor_intro(b, g, h), _widen(b, line[g], own[g], mine))
-                line[node] = _guarded_mp(b, mine, curried, arg, Not(h), Not(node))
-    return line[nodes[-1]]
+                arg = _widen(b, line[h, own[h]], own[h], mine)
+                intro = _nor_intro(b, g, h)
+                g_arg = _widen(b, line[g, own[g]], own[g], mine)
+                curried = b.mp(_lift_under(b, mine, intro), g_arg)
+                line[node, mine] = _guarded_mp(b, mine, curried, arg, Not(h), Not(node))
+    return line[nodes[-1], own[nodes[-1]]]
 
 
 def _case_split(
-    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int]
+    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int], line: dict
 ) -> int:
     """D = nest(guards(values), f0), by splitting on each atom ``values``
     leaves open.  The branches on the next atom q are !q or D and q or D;
     the first folds into q imp D, which resolves the second to D or D.
     Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
     if len(values) == len(atom_names):
-        return _derive_branch(b, nodes, atom_names, values)
+        return _derive_branch(b, nodes, atom_names, values, line)
     name = atom_names[len(values)]
-    on = _case_split(b, nodes, atom_names, {**values, name: 1})  # !q or D
+    on = _case_split(b, nodes, atom_names, {**values, name: 1}, line)  # !q or D
     bridge = _fold_imp_root(b, on)  # q imp D, folded while on is the last line
-    off = _case_split(b, nodes, atom_names, {**values, name: 0})  # q or D
+    off = _case_split(b, nodes, atom_names, {**values, name: 0}, line)  # q or D
     d = b.formula_at(bridge).right
     doubled = _cases(b, bridge, off)  # D or D
     return b.mp(b.axiom(1, A=d), doubled)
+
+
+# ---------------------------------------------------------------------------
+# The rewrite route: an equivalence whose sides share a normal form under
+# !!X -> X and (X or Y) or Z -> X or (Y or Z).
+
+
+def _normal_forms(f: Formula) -> dict[Formula, Formula]:
+    """The normal form of each subformula of the primitive formula ``f``."""
+    nf: dict[Formula, Formula] = {}
+    for node in subformulas(f):
+        if isinstance(node, Atom):
+            nf[node] = node
+        elif isinstance(node, Not):
+            child = nf[node.child]
+            nf[node] = child.child if isinstance(child, Not) else Not(child)
+        else:  # the left operand's chain, ending in the right operand's form
+            items, out = [nf[node.left]], nf[node.right]
+            while isinstance(items[-1], Bin):
+                items[-1:] = items[-1].left, items[-1].right
+            for x in reversed(items):
+                out = _disj(x, out)
+            nf[node] = out
+    return nf
+
+
+def _chain(b: _Builder, impls: list[int | None]) -> int | None:
+    """X0 imp Xk from X0 imp X1 ... Xk-1 imp Xk; a None is an identity."""
+    out = None
+    for impl in filter(None, impls):
+        out = impl if out is None else _syl(b, out, impl)
+    return out
+
+
+def _normalise(b: _Builder, f: Formula, forward: bool, nf: dict, done: dict) -> int | None:
+    """f imp nf(f), or backward nf(f) imp f; None where f is normal.
+
+    Top-down over an explicit stack: a node is rewritten at its root, or at
+    its left operand's, until neither is !!X and the left operand is no
+    disjunction (k - 2 rotations for a left comb of k operands).  Then its
+    operands are normalised and lifted into it by _sum_right, _sum_left, or
+    under a negation _contra of the other direction.  ``done`` keeps each
+    (node, direction) result."""
+    todo: list = [(f, forward, None)]
+    while todo:
+        node, fwd, entry = todo.pop()
+        if entry is None:
+            if (node, fwd) in done:
+                continue
+            steps, cur = [], node
+            while True:
+                x = cur.left if isinstance(cur, Bin) else cur
+                if isinstance(x, Not) and isinstance(x.child, Not):
+                    z = x.child.child
+                    step = _dne(b, z) if fwd else _dni(b, z)
+                    if x is not cur:
+                        step, z = _sum_right(b, cur.right, step), _disj(z, cur.right)
+                elif isinstance(x, Bin):
+                    step = _assoc(b, x.left, x.right, cur.right, fwd)
+                    z = _disj(x.left, _disj(x.right, cur.right))
+                else:
+                    break
+                steps.append(step)
+                cur = z
+            todo.append((node, fwd, (steps, cur)))
+            if isinstance(cur, Not):
+                todo.append((cur.child, not fwd, None))
+            elif isinstance(cur, Bin):
+                todo += ((cur.right, fwd, None), (cur.left, fwd, None))
+            continue
+        steps, cur = entry  # below, "x and lift(x)" is None for a normal operand
+        if isinstance(cur, Not):
+            inner = done[cur.child, not fwd]
+            steps.append(inner and _contra(b, inner))
+        elif isinstance(cur, Bin):
+            left, right = done[cur.left, fwd], done[cur.right, fwd]
+            steps.append(left and _sum_right(b, cur.right, left))
+            steps.append(right and _sum_left(b, nf[cur.left], right))
+        done[node, fwd] = _chain(b, steps if fwd else steps[::-1])
+    return done[f, forward]
+
+
+def _rewrite_route(b: _Builder, f0: Formula) -> int | None:
+    """f0 = !(!(!A or B) or !(!B or A)), the primitive form of A iff B, from
+    A imp B and B imp A, each chained through the sides' normal form; None,
+    with no line written, unless f0 has that shape and A and B one form."""
+    match f0:
+        case Not(Bin(_, Not(Bin(_, Not(a), c)), Not(Bin(_, Not(c2), a2)))) if (a2, c2) == (a, c):
+            nf = _normal_forms(f0)
+        case _:
+            return None
+    if nf[a] is not nf[c]:
+        return None
+    done, negated = {}, []
+    for x, y in ((a, c), (c, a)):
+        to_y = [_normalise(b, x, True, nf, done), _normalise(b, y, False, nf, done)]
+        disj = _def_step(b, _chain(b, to_y) or _imp_self(b, x), _IMP, (), Direction.UNFOLD)
+        negated.append(b.mp(_dni(b, b.formula_at(disj)), disj))  # !!(!X or Y)
+    g, h = (b.formula_at(idx).child for idx in negated)
+    return b.mp(b.mp(_nor_intro(b, g, h), negated[0]), negated[1])
 
 
 # ---------------------------------------------------------------------------
@@ -470,33 +599,52 @@ def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
 
 
 def prove_tautology(f: Formula) -> Proof:
-    """A checkable proof of ``f``; raises NotATautology with a countermodel."""
-    names = atoms_of(f)
-    if len(names) > GENERATOR_ATOM_LIMIT:
-        raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
-    row = first_row(f, 0)
-    if row is not None:
-        raise NotATautology(row)
+    """A checkable proof of ``f``; raises NotATautology with a countermodel, and
+    TooManyAtoms past GENERATOR_ATOM_LIMIT where the rewrite route does not apply."""
     f0, steps = _unfold_plan(f)
     b = _Builder()
-    idx = _case_split(b, subformulas(f0), names, {})
+    idx = _rewrite_route(b, f0)
+    if idx is None:
+        names = atoms_of(f)
+        if len(names) > GENERATOR_ATOM_LIMIT:
+            raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
+        row = first_row(f, 0)
+        if row is not None:
+            raise NotATautology(row)
+        idx = _case_split(b, subformulas(f0), names, {}, {})
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)
     return Proof(goal=f, lines=b.lines[:idx])  # an older goal line ends the proof
 
 
+def regrouping_goals(n: int) -> list[Formula]:
+    """ρ-assoc over n >= 2 operands, for nor and then for nand:
+    p1 op !(p2 op !(... op !(pn-1 op pn))) iff !(...!(p1 op p2) op ...) op pn,
+    over p, q, r at n = 3 (main results (a) and (b)), else over p1 ... pn."""
+    if n < 2:
+        raise ValueError(f"a regrouping needs at least 2 operands, not {n}")
+    ps = [Atom(x) for x in ("p", "q", "r")] if n == 3 else [Atom(f"p{i}") for i in range(1, n + 1)]
+    goals = []
+    for op in (Operator.NOR, Operator.NAND):
+        by_right, by_left = Bin(op, ps[-2], ps[-1]), Bin(op, ps[0], ps[1])
+        for x in reversed(ps[:-2]):
+            by_right = Bin(op, x, Not(by_right))
+        for x in ps[2:]:
+            by_left = Bin(op, Not(by_left), x)
+        goals.append(Bin(Operator.IFF, by_right, by_left))
+    return goals
+
+
 def main_result_goals() -> list[Formula]:
-    """The four nor/nand regrouping biconditionals, in presentation order."""
+    """The four nor/nand regrouping biconditionals, in presentation order:
+    ρ-assoc (a) and (b), then ρ-dist (c) and (d)."""
     p, q, r = Atom("p"), Atom("q"), Atom("r")
-    nor = lambda x, y: Bin(Operator.NOR, x, y)
-    nand = lambda x, y: Bin(Operator.NAND, x, y)
-    iff = lambda x, y: Bin(Operator.IFF, x, y)
-    return [
-        iff(nor(p, Not(nor(q, r))), nor(Not(nor(p, q)), r)),
-        iff(nand(p, Not(nand(q, r))), nand(Not(nand(p, q)), r)),
-        iff(nor(p, Not(nand(q, r))), nand(Not(nor(p, q)), Not(nor(p, r)))),
-        iff(nand(p, Not(nor(q, r))), nor(Not(nand(p, q)), Not(nand(p, r)))),
+    dist = [
+        Bin(Operator.IFF, Bin(op, p, Not(Bin(co, q, r))),
+            Bin(co, Not(Bin(op, p, q)), Not(Bin(op, p, r))))
+        for op, co in ((Operator.NOR, Operator.NAND), (Operator.NAND, Operator.NOR))
     ]
+    return regrouping_goals(3) + dist
 
 
 def prove_main_results() -> list[Proof]:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from plogic import cli, parse
+from plogic import cli, parse, render
 from plogic.errors import MissingAtom, MissingMetavariable, NoDual, TooManyAtoms, UnknownToken
-from plogic.proof import proof_to_json, proof_to_text, prove_tautology
+from plogic.proof import proof_to_json, proof_to_text, prove_tautology, regrouping_goals
 from test_proofio import MISSING, _edited_json
 
 DATA = Path(__file__).parent / "data"
@@ -147,6 +147,17 @@ def test_prove_verify_cycle(tmp_path):
     verify = run_cli("verify", str(proof_file))
     assert verify.returncode == 0
     assert "accepted" in verify.stdout
+
+
+def test_prove_an_equivalence_past_the_generator_atom_limit(tmp_path):
+    """The rewrite route needs no truth table, so GENERATOR_ATOM_LIMIT (10)
+    binds only the case split: 12-operand nor regrouping proves and verifies."""
+    proof_file = tmp_path / "rho12.prf"
+    prove = run_cli("prove", render(regrouping_goals(12)[0]), "-o", str(proof_file))
+    assert prove.returncode == 0, prove.stderr
+    lines = prove.stdout.rsplit(": ", 1)[1].split()[0]
+    verify = run_cli("verify", str(proof_file))
+    assert (verify.returncode, verify.stdout) == (0, f"accepted ({lines} lines)\n")
 
 
 def test_prove_json_format(tmp_path):

@@ -15,6 +15,7 @@ from plogic.proof import (
     proof_to_text,
     prove_main_results,
     prove_tautology,
+    regrouping_goals,
 )
 
 from oracle import bit_is_tautology, random_formula
@@ -167,14 +168,14 @@ def test_four_atom_goal():
 # says why.
 MAIN_RESULT_PROOFS = [
     (
-        3415,
-        "e9b5db4482aec420938b4602dddcbc051a78f06b6f94d092ddda25813bd12029",
-        "a0beb33b66e2c175f130918acf42c5ea663dca5926486d718f6db5cf02ec550f",
+        421,
+        "3300d7bdaeb926d78434d1f8c115a8703d428cb7ca93dba6929ef25ed6e5a0f0",
+        "a947e24c32399e0938e8322c9ccfd88b975c9ac0d9094d1ef20a01b75e7e758a",
     ),
     (
-        3580,
-        "194bff10d159a6117f96f9a12e02834e39a416b17fd44f423c358cd5236ecb4a",
-        "c71958cb0bfa0c6bdc70eca8d18a2f8f26e6303849ad112e331bd92d21c40110",
+        555,
+        "86579b103ae0bb56f3187c3d2f332747516fa60dca2d8352d29c725df99df599",
+        "5c8363c7381e15fd5d7f596cf0fb469a2119e8e9896ad39371a351d940503318",
     ),
     (
         4827,
@@ -203,7 +204,76 @@ def test_main_result_proofs_are_pinned():
 def test_no_line_repeats_an_earlier_formula():
     """A generated proof never copies a line: each formula is new."""
     texts = ["!" * 1100 + "(p or !p)", "p or !p", "p imp p", *DEFINED_CONNECTIVE_GOALS,
-             FOUR_ATOM_GOAL]
+             FOUR_ATOM_GOAL, *DUALITY_IDENTITIES]
     for proof in prove_main_results() + [prove_tautology(parse(t)) for t in texts]:
         formulas = [line.formula for line in proof.lines]
         assert len(set(formulas)) == len(formulas), proof.goal
+
+
+# The 2-atom duality identities (X op Y) iff !(X dual(op) Y), one per
+# fundamental connective, in the shape of the benchmark's prove inputs.
+DUALITY_IDENTITIES = [
+    "(p or !q) iff !(p nor !q)",
+    "!(!p nand q) iff (!p and q)",
+    "(q imp !p) iff !(q nimp !p)",
+    "!(!p xor !q) iff (!p iff !q)",
+]
+
+
+@pytest.fixture
+def no_case_split(monkeypatch):
+    """Fail any proof that falls back to Kalmar's case split."""
+
+    def refuse(*args):
+        raise AssertionError("the goal went to the case split")
+
+    monkeypatch.setattr(plogic.proof.prover, "_case_split", refuse)
+
+
+def _accepted_without_repeats(proof):
+    result = check_proof(proof)
+    assert result.accepted, (proof.goal, result.line, result.reason)
+    formulas = [line.formula for line in proof.lines]
+    assert len(set(formulas)) == len(formulas), proof.goal
+
+
+def test_regrouping_goals_at_three_operands_are_main_results_a_and_b():
+    assert regrouping_goals(3) == main_result_goals()[:2]
+    assert regrouping_goals(4)[0] == parse(
+        "(p1 nor !(p2 nor !(p3 nor p4))) iff (!(!(p1 nor p2) nor p3) nor p4)"
+    )
+    assert all(bit_is_tautology(g) for n in range(2, 7) for g in regrouping_goals(n))
+    with pytest.raises(ValueError):
+        regrouping_goals(1)
+
+
+def test_regrouping_family_proves_by_the_rewrite_route(no_case_split):
+    """Up to 16 operands, past GENERATOR_ATOM_LIMIT.  Rotating each or-chain
+    at its root keeps the proofs linear in n: each operand adds the same
+    number of lines, and n = 16 stays under 6,000."""
+    sizes = []
+    for n in range(3, 17):
+        proofs = [prove_tautology(goal) for goal in regrouping_goals(n)]
+        for proof in proofs:
+            _accepted_without_repeats(proof)
+        sizes.append([len(proof.lines) for proof in proofs])
+    for column in zip(*sizes):
+        assert len({b - a for a, b in zip(column, column[1:])}) == 1, column
+        assert column[-1] <= 6000
+
+
+def test_every_line_of_a_rewrite_route_proof_is_a_tautology(no_case_split):
+    goals = regrouping_goals(3) + regrouping_goals(4) + [parse(t) for t in DUALITY_IDENTITIES]
+    for goal in goals:
+        proof = prove_tautology(goal)
+        _accepted_without_repeats(proof)
+        assert all(bit_is_tautology(line.formula) for line in proof.lines), goal
+
+
+def test_a_goal_whose_sides_differ_in_normal_form_falls_back_to_the_case_split():
+    # the two sides are one or-chain only up to commutation
+    assert len(prove_tautology(parse(FOUR_ATOM_GOAL)).lines) == 6393
+
+
+def test_a_deep_double_negation_chain_takes_the_route(no_case_split):
+    _accepted_without_repeats(prove_tautology(parse("(" + "!" * 400 + "p) iff p")))
