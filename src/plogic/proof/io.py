@@ -24,8 +24,8 @@ proof rule.  A deep formula's node texts sum to O(nodes × depth), so the
 memo keeps texts only up to ``_TEXT_BUDGET`` (2) times the formula text
 read or written so far; past that, a dump writes with plain ``render``
 and a load parses.  On a shared 2-vCPU host with Python 3.11, the four
-main results (6.4 MB) dump to text in about 0.06 s and load in about
-0.3 s from either format.
+main results (0.65 MB as text, 1.1 MB as JSON) dump in about 0.02 s as
+text and 0.04 s as JSON, and load in about 0.08 s from either format.
 """
 
 from __future__ import annotations
@@ -300,8 +300,35 @@ def proof_from_dict(data: dict) -> Proof:
     return Proof(goal=goal, lines=lines)
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C encoder's string writer
+
+
+def _scalar(value) -> str:
+    return _quote(value) if type(value) is str else int.__repr__(value)
+
+
 def proof_to_json(proof: Proof) -> str:
-    return json.dumps(proof_to_dict(proof), indent=2) + "\n"
+    """``json.dumps(proof_to_dict(proof), indent=2) + "\\n"``, byte for byte.
+    An indented ``json.dumps`` runs the pure-Python encoder; here each string
+    goes through the C one, and only the fixed 2-space layout is Python."""
+    data = proof_to_dict(proof)
+    lines = []
+    for line in data["lines"]:
+        members = []
+        for key, value in line["just"].items():
+            if type(value) is dict:  # an axiom's substitution
+                terms = [_quote(var) + ": " + _quote(text) for var, text in value.items()]
+                value = "{\n          " + ",\n          ".join(terms) + "\n        }" if terms else "{}"
+            else:
+                value = _scalar(value)
+            members.append(_quote(key) + ": " + value)
+        lines.append(
+            '{\n      "index": ' + _scalar(line["index"])
+            + ',\n      "formula": ' + _quote(line["formula"])
+            + ',\n      "just": {\n        ' + ",\n        ".join(members) + "\n      }\n    }"
+        )
+    body = "[\n    " + ",\n    ".join(lines) + "\n  ]" if lines else "[]"
+    return '{\n  "goal": ' + _quote(data["goal"]) + ',\n  "lines": ' + body + "\n}\n"
 
 
 def _json(text: str):

@@ -4,11 +4,15 @@ An equivalence A iff B whose sides share one normal form under !!X -> X
 and (X or Y) or Z -> X or (Y or Z) takes the rewrite route, as the paper's
 Hilbert-Ackermann derivations do: each side is rewritten to that form
 top-down, each step a derived lemma lifted into place by congruence, and
-the chained steps give A imp B and B imp A.  No truth table is needed, and
-proofs grow with the formula, not with 2^n.  Any other goal falls back to
-the classical recipe: case-split on the atoms, prove the goal under every
-full assignment, then eliminate the case hypotheses pairwise.  A branch for
-the assignment v is derived directly as the closed theorem
+the chained steps give A imp B and B imp A.  The sides' forms may also be
+one distribution step apart, X or !(U or V) against
+!(!(X or !U) or !(X or !V)) at the root of one side's form or under one
+negation there; that step is one more derived lemma in the chain.  No
+truth table is needed, and proofs grow with the formula, not with 2^n.
+Any other goal falls back to the classical recipe: case-split on the atoms,
+prove the goal under every full assignment, then eliminate the case
+hypotheses pairwise.  A branch for the assignment v is derived directly as
+the closed theorem
 
     Ln or (... (L2 or (L1 or f0)))
 
@@ -307,6 +311,31 @@ def _nor_intro(b: _Builder, g: Formula, h: Formula) -> int:
     return _fold_imp_root(b, folded)
 
 
+def _dist(b: _Builder, x: Formula, u: Formula, v: Formula, forward: bool) -> int:
+    """(X or !(U or V)) imp !(!(X or !U) or !(X or !V)), or backward its converse.
+
+    With L the premise, two lines L imp ... unfold into nest(guards, !G) and
+    nest(guards, !H), and _guarded_mp takes them through _nor_intro(G, H) to
+    nest(guards, !(G or H)), which folds into the theorem.  Forward, G and H
+    are !(X or !U) and !(X or !V), under the guard !L; backward, they are U
+    and V, under the guards !L and X."""
+    cu, cv = _disj(x, Not(u)), _disj(x, Not(v))
+    if forward:  # L imp !!(X or !U) from !(U or V) imp !U, lifted by X
+        g, h = Not(cu), Not(cv)
+        guards = (Not(_disj(x, Not(_disj(u, v)))),)
+        parts = [_syl(b, _sum_left(b, x, _contra(b, grow)), _dni(b, c))
+                 for grow, c in ((b.axiom(2, A=u, B=v), cu), (_add_right(b, v, u), cv))]
+    else:  # L imp (X or !U) from L imp !!(X or !U)
+        g, h = u, v
+        guards = (Not(Not(_disj(Not(cu), Not(cv)))), x)
+        parts = [_syl(b, _contra(b, grow), _dne(b, c))
+                 for grow, c in ((b.axiom(2, A=Not(cu), B=Not(cv)), cu),
+                                 (_add_right(b, Not(cv), Not(cu)), cv))]
+    g_arg, h_arg = (_def_step(b, part, _IMP, (), Direction.UNFOLD) for part in parts)
+    curried = b.mp(_lift_under(b, guards, _nor_intro(b, g, h)), g_arg)
+    return _fold_imp_root(b, _guarded_mp(b, guards, curried, h_arg, Not(h), Not(_disj(g, h))))
+
+
 # ---------------------------------------------------------------------------
 # Guarded-clause plumbing.
 
@@ -555,20 +584,52 @@ def _normalise(b: _Builder, f: Formula, forward: bool, nf: dict, done: dict) -> 
     return done[f, forward]
 
 
+def _distribution(a: Formula, c: Formula, nf: dict) -> tuple | None:
+    """(side, D, (x, u, v), negated) where one distribution step, at the root
+    of the side's normal form or under one negation there, turns
+    x or !(u or v) into D's !(!(x or !u) or !(x or !v)), and D has the other
+    side's normal form; None where neither side gives that."""
+    for side, other in ((a, c), (c, a)):
+        s = nf[side]
+        negated = isinstance(s, Not)
+        match s.child if negated else s:
+            case Bin(_, x, Not(Bin(_, u, v))):
+                d = Not(_disj(Not(_disj(x, Not(u))), Not(_disj(x, Not(v)))))
+                d = Not(d) if negated else d
+                if _normal_forms(d)[d] is nf[other]:
+                    return side, d, (x, u, v), negated
+    return None
+
+
 def _rewrite_route(b: _Builder, f0: Formula) -> int | None:
     """f0 = !(!(!A or B) or !(!B or A)), the primitive form of A iff B, from
     A imp B and B imp A, each chained through the sides' normal form; None,
-    with no line written, unless f0 has that shape and A and B one form."""
+    with no line written, unless f0 has that shape and A and B one form, or
+    forms one _distribution step apart."""
     match f0:
         case Not(Bin(_, Not(Bin(_, Not(a), c)), Not(Bin(_, Not(c2), a2)))) if (a2, c2) == (a, c):
             nf = _normal_forms(f0)
         case _:
             return None
+    via = None
     if nf[a] is not nf[c]:
-        return None
+        via = _distribution(a, c, nf)
+        if via is None:
+            return None
+        side, d, operands, under_not = via
+        nf.update(_normal_forms(d))
     done, negated = {}, []
     for x, y in ((a, c), (c, a)):
-        to_y = [_normalise(b, x, True, nf, done), _normalise(b, y, False, nf, done)]
+        to_y = [_normalise(b, x, True, nf, done)]
+        if via:  # nf(x) imp D imp nf(D) from the distributed side, back the other way
+            fwd = x is side
+            step = _dist(b, *operands, fwd != under_not)  # negated: _contra of the converse
+            step = _contra(b, step) if under_not else step
+            if fwd:
+                to_y += step, _normalise(b, d, True, nf, done)
+            else:
+                to_y += _normalise(b, d, False, nf, done), step
+        to_y.append(_normalise(b, y, False, nf, done))
         disj = _def_step(b, _chain(b, to_y) or _imp_self(b, x), _IMP, (), Direction.UNFOLD)
         negated.append(b.mp(_dni(b, b.formula_at(disj)), disj))  # !!(!X or Y)
     g, h = (b.formula_at(idx).child for idx in negated)

@@ -178,14 +178,14 @@ MAIN_RESULT_PROOFS = [
         "5c8363c7381e15fd5d7f596cf0fb469a2119e8e9896ad39371a351d940503318",
     ),
     (
-        4827,
-        "76d60f84bfe6e5753cc733c2e38e728dfbc7454649e85e855a4b7ffcb2250d89",
-        "485cd07eb3e0c45ee74fb07afba061cb388e9d8e7c1d235fac345dfc65c5289f",
+        1110,
+        "e4c6ba0f96d98e067692120ad45dc6021fd8078ec089f44ad0b5f2d0ecf2c90f",
+        "3617bc0cae17442177a1a65d31686ce20061870b3857bfff1a2ad8008caadf57",
     ),
     (
-        4834,
-        "f6769d36ea0b6f32424eb3c0b1b0ff7eda8e0480327387c2faa65e2b63cd3c11",
-        "de8397a7ef220722d728b4c21be7e97c13f2359498d87bce907a14ce94ef0dfa",
+        877,
+        "b5e4021933d75b6a76c5129c9b78903b69f2a6f547d34ffca3d51ca1f4443cf6",
+        "99ae1db38af51ae0ddcb5a7c7e1d8873f1a37794f4ee8f2065802c33128757bc",
     ),
 ]
 
@@ -263,7 +263,8 @@ def test_regrouping_family_proves_by_the_rewrite_route(no_case_split):
 
 
 def test_every_line_of_a_rewrite_route_proof_is_a_tautology(no_case_split):
-    goals = regrouping_goals(3) + regrouping_goals(4) + [parse(t) for t in DUALITY_IDENTITIES]
+    goals = (regrouping_goals(3) + regrouping_goals(4) + main_result_goals()[2:]
+             + [parse(t) for t in DUALITY_IDENTITIES])
     for goal in goals:
         proof = prove_tautology(goal)
         _accepted_without_repeats(proof)
@@ -277,3 +278,81 @@ def test_a_goal_whose_sides_differ_in_normal_form_falls_back_to_the_case_split()
 
 def test_a_deep_double_negation_chain_takes_the_route(no_case_split):
     _accepted_without_repeats(prove_tautology(parse("(" + "!" * 400 + "p) iff p")))
+
+
+# (x, u, v) for _dist: atoms, the operands of main results (c) and (d), and
+# degenerate ones where operands coincide or one negates another.
+DIST_OPERANDS = [
+    ("x", "u", "v"),
+    ("p", "!q", "!r"),
+    ("!p", "q", "r"),
+    ("x", "u", "u"),
+    ("x", "x", "v"),
+    ("x", "!x", "v"),
+]
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("operands", DIST_OPERANDS, ids=",".join)
+def test_distribution_step_on_its_own(operands, forward):
+    """_dist derives (x or !(u or v)) imp !(!(x or !u) or !(x or !v)), or the
+    converse, from the existing lemmas alone, ending at its newest line.  The
+    oracle confirms that both directions are tautologies."""
+    from plogic import Bin, Operator
+    from plogic.proof.objects import Proof
+    from plogic.proof.prover import _Builder, _dist
+
+    def disj(a, b):
+        return Bin(Operator.OR, a, b)
+
+    x, u, v = (parse(t) for t in operands)
+    left = disj(x, Not(disj(u, v)))
+    right = Not(disj(Not(disj(x, Not(u))), Not(disj(x, Not(v)))))
+    goal = Bin(Operator.IMP, *((left, right) if forward else (right, left)))
+    assert bit_is_tautology(goal)
+    b = _Builder()
+    out = _dist(b, x, u, v, forward)
+    assert (out, b.formula_at(out)) == (len(b.lines), goal)
+    _accepted_without_repeats(Proof(goal=goal, lines=b.lines))
+    assert all(bit_is_tautology(line.formula) for line in b.lines)
+
+
+# Line counts and sha256 text digests of proofs that the distribution step
+# must leave alone.  The last two goals are one distribution apart, but below
+# the root of a side, or only after a second distribution, so they go to the
+# case split.
+CASE_SPLIT_DISTRIBUTIONS = [
+    "(q or (p or !(q or r))) iff (q or !(!(p or !q) or !(p or !r)))",
+    "(p or !(q or (r or s))) iff !(!(p or !q) or !!(!(p or !r) or !(p or !s)))",
+]
+UNMOVED_PROOFS = {
+    FOUR_ATOM_GOAL: (6393, "a2a7c3a14408d4f8491d7db369741459beaee8d684da3e2f425e86f2674180b3"),
+    DUALITY_IDENTITIES[0]: (156, "9dbba46f99d111eb1c5c5511850a70c76153de653b924a6755dbfe8d51de00ed"),
+    DUALITY_IDENTITIES[1]: (260, "a1401d5817ad87d9a1b3466363ffff039fe75cf10184437fce4809a6bfd82831"),
+    DUALITY_IDENTITIES[2]: (160, "258dae7d9050efb5b8d8c5fa6827ed82890702e8b7d61416c2afadb3e5e7dd89"),
+    DUALITY_IDENTITIES[3]: (449, "c3a7a3fd1aa5f62647e452d7b7a701aab564030df806b5442eb65d2546b69db0"),
+    CASE_SPLIT_DISTRIBUTIONS[0]: (
+        4347, "30cb68a85286568c00e8a3a47018e2e599d586aad5859ceb9bf63fbf55d0d9a1"
+    ),
+    CASE_SPLIT_DISTRIBUTIONS[1]: (
+        10834, "8859b9612d35acdcaf04455871bed2404624880eed18b042e335016d83c29799"
+    ),
+}
+
+
+def test_proofs_off_the_distribution_step_are_pinned():
+    found = {}
+    for text in UNMOVED_PROOFS:
+        proof = prove_tautology(parse(text))
+        found[text] = (len(proof.lines), hashlib.sha256(proof_to_text(proof).encode()).hexdigest())
+    assert found == UNMOVED_PROOFS
+
+
+def test_a_distribution_off_the_root_goes_to_the_case_split(monkeypatch):
+    """The route writes no line before it gives up: the proof is the one
+    the case split makes with the route switched off."""
+    goals = [parse(t) for t in CASE_SPLIT_DISTRIBUTIONS]
+    assert all(bit_is_tautology(g) for g in goals)
+    routed = [proof_to_text(prove_tautology(g)) for g in goals]
+    monkeypatch.setattr(plogic.proof.prover, "_rewrite_route", lambda b, f0: None)
+    assert routed == [proof_to_text(prove_tautology(g)) for g in goals]
