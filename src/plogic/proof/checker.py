@@ -6,16 +6,19 @@ it.  The major premise of modus ponens may be spelled either
 ``F imp G`` or ``!F or G``; no other leniency is granted.  The last line
 must equal the proof's goal.
 
-``replay`` alone decides what a justification derives; ``check_proof``
-compares each line with it, and the loader uses it only as a cache.  The
-checker never imports the generator or the loader; it and the generator
-take their rules from ``proof/axioms.py`` and ``defs.py``, which the
-tests' oracle judges.
+``replay`` alone decides what a justification derives, and a ``Judge``
+alone compares each line with it.  The loader judges each line as it
+reads it; ``check_proof`` takes a loaded proof's verdict from that Judge
+while the proof holds exactly the lines it took, and else runs a new
+Judge.  The checker never imports the generator or the loader; it and
+the generator take their rules from ``proof/axioms.py`` and ``defs.py``,
+which the tests' oracle judges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, is_
 from typing import Optional, Sequence
 
 # definiens and match_definiens stay bound for perfbench/spans.py, which wraps them
@@ -52,9 +55,10 @@ class CheckResult:
         return self.accepted
 
 
-def replay(k: int, just: Justification, lines: Sequence[ProofLine]) -> Formula | CheckResult:
-    """The formula that line ``k``'s justification ``just`` derives from
-    ``lines[:k - 1]``, or the rejection of line ``k``; never raises."""
+def replay(k: int, just: Justification, formulas: Sequence[Formula]) -> Formula | CheckResult:
+    """The formula that line ``k``'s justification ``just`` derives from the
+    formulas ``formulas[:k - 1]`` of the lines above, or the rejection of
+    line ``k``; never raises."""
     if isinstance(just, AxiomJust):
         subst = just.subst_map()
         try:
@@ -74,14 +78,14 @@ def replay(k: int, just: Justification, lines: Sequence[ProofLine]) -> Formula |
                 False, k, BAD_MP_REFERENCE,
                 f"references {just.major},{just.minor} must be earlier lines",
             )
-        parts = major_parts(lines[just.major - 1].formula)
+        parts = major_parts(formulas[just.major - 1])
         if parts is None:
             return CheckResult(
                 False, k, MP_SHAPE_MISMATCH,
                 f"line {just.major} is not an implication",
             )
         antecedent, consequent = parts
-        if lines[just.minor - 1].formula != antecedent:
+        if formulas[just.minor - 1] != antecedent:
             return CheckResult(
                 False, k, MP_SHAPE_MISMATCH,
                 f"line {just.minor} does not match the antecedent of line {just.major}",
@@ -91,7 +95,7 @@ def replay(k: int, just: Justification, lines: Sequence[ProofLine]) -> Formula |
         if k == 1:
             return CheckResult(False, k, DEF_MISMATCH, "no preceding line to rewrite")
         try:
-            return rewrite(lines[k - 2].formula, just.name, just.path, just.direction)
+            return rewrite(formulas[k - 2], just.name, just.path, just.direction)
         except PathError:
             return CheckResult(
                 False, k, DEF_MISMATCH,
@@ -105,23 +109,84 @@ def replay(k: int, just: Justification, lines: Sequence[ProofLine]) -> Formula |
     )
 
 
-def check_proof(proof: Proof) -> CheckResult:
-    lines = proof.lines
-    if not lines:
-        return CheckResult(False, None, GOAL_MISMATCH, "proof has no lines")
-    for k, line in enumerate(lines, start=1):
-        if line.index != k:
-            return CheckResult(
-                False, k, BAD_LINE_INDEX, f"expected index {k}, found {line.index}"
-            )
-        derived = replay(k, line.just, lines)
-        if isinstance(derived, CheckResult):
-            return derived
-        if derived != line.formula:
-            reason, detail = next(v for t, v in _MISMATCH.items() if isinstance(line.just, t))
-            return CheckResult(False, k, reason, detail.format(line.just))
-    if lines[-1].formula != proof.goal:
-        return CheckResult(
-            False, len(lines), GOAL_MISMATCH, "last line does not equal the goal"
+_INDEX, _FORMULA, _JUST = attrgetter("index"), attrgetter("formula"), attrgetter("just")
+
+
+class Judge:
+    """Judges a proof's lines in order, one ``take`` per line, and keeps
+    the first rejection.  ``derive`` tells a caller what the next line's
+    justification derives before the line is built; ``take`` then reuses
+    that replay instead of making another."""
+
+    def __init__(self):
+        # The index, formula and justification of each line taken, as taken.
+        self.indices: list[int] = []
+        self.formulas: list[Formula] = []
+        self.justs: list[Justification] = []
+        self.rejection: Optional[CheckResult] = None
+        self._derived_for: Optional[Justification] = None
+        self._derived: Formula | CheckResult | None = None
+
+    def derive(self, just: Justification) -> Formula | CheckResult:
+        """What ``just`` derives as the next line, from the lines taken."""
+        self._derived_for = just
+        self._derived = replay(len(self.formulas) + 1, just, self.formulas)
+        return self._derived
+
+    def take(self, line: ProofLine) -> None:
+        """Judge ``line`` as the next line, unless an earlier one was rejected."""
+        index, formula, just = line.index, line.formula, line.just
+        formulas = self.formulas
+        k = len(formulas) + 1
+        if self.rejection is None:
+            if index != k:
+                self.rejection = CheckResult(
+                    False, k, BAD_LINE_INDEX, f"expected index {k}, found {index}"
+                )
+            else:
+                derived = self._derived if just is self._derived_for else replay(k, just, formulas)
+                if isinstance(derived, CheckResult):
+                    self.rejection = derived
+                elif derived != formula:
+                    reason, detail = next(v for t, v in _MISMATCH.items() if isinstance(just, t))
+                    self.rejection = CheckResult(False, k, reason, detail.format(just))
+        self._derived_for = self._derived = None
+        self.indices.append(index)
+        formulas.append(formula)
+        self.justs.append(just)
+
+    def judged(self, lines: Sequence[ProofLine]) -> bool:
+        """Whether ``lines`` hold, in order, the index, formula and
+        justification objects of the lines taken, on which alone the
+        verdict depends."""
+        return (
+            len(lines) == len(self.formulas)
+            and all(map(is_, map(_INDEX, lines), self.indices))
+            and all(map(is_, map(_FORMULA, lines), self.formulas))
+            and all(map(is_, map(_JUST, lines), self.justs))
         )
-    return CheckResult(True)
+
+    def result(self, goal: Formula) -> CheckResult:
+        """The verdict on the lines taken as a proof of ``goal``."""
+        if self.rejection is not None:
+            return self.rejection
+        if not self.formulas:
+            return CheckResult(False, None, GOAL_MISMATCH, "proof has no lines")
+        if self.formulas[-1] != goal:
+            return CheckResult(
+                False, len(self.formulas), GOAL_MISMATCH, "last line does not equal the goal"
+            )
+        return CheckResult(True)
+
+
+def check_proof(proof: Proof) -> CheckResult:
+    """The verdict on ``proof``: from the Judge that loaded it while it still
+    holds the lines that Judge took, else from a new Judge."""
+    judge = proof.judge
+    if judge is None or not judge.judged(proof.lines):
+        judge = Judge()
+        for line in proof.lines:
+            judge.take(line)
+            if judge.rejection is not None:
+                break
+    return judge.result(proof.goal)

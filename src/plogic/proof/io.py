@@ -17,15 +17,20 @@ Proof lines share most of their subformulas, so each call keeps a
 ``TextMemo``, and nothing outlives the call.  Dump and load share its one
 walk, which writes each node's canonical text once, from its children's
 kept texts, so a line costs only the nodes that earlier lines lack.  A
-dump writes each formula as the memo spells it.  A load spells what
-``checker.replay`` derives for a line, so a line spelled as derived is
-looked up among the kept texts, not parsed; the loader itself knows no
-proof rule.  A deep formula's node texts sum to O(nodes × depth), so the
+dump writes each formula as the memo spells it.  A load hands each line
+to a ``checker.Judge`` as it is read: the Judge derives what the line's
+justification gives, the memo spells that, and a line spelled so takes
+the derived node instead of a parse; then the Judge compares the line
+with it.  The loaded proof keeps the Judge, so ``check_proof`` replays
+no line again; the loader itself knows no proof rule and compares no
+line.  A deep formula's node texts sum to O(nodes × depth), so the
 memo keeps texts only up to ``_TEXT_BUDGET`` (2) times the formula text
 read or written so far; past that, a dump writes with plain ``render``
 and a load parses.  On a shared 2-vCPU host with Python 3.11, the four
 main results (0.65 MB as text, 1.1 MB as JSON) dump in about 0.02 s as
-text and 0.04 s as JSON, and load in about 0.08 s from either format.
+text and 0.04 s as JSON.  They load, each line judged, in about 0.04 s
+from either format (the fastest of 30 runs), after which ``check_proof``
+on all four takes about 0.5 ms.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from ..errors import ParseError, PathError
 from ..formula import Formula, Not, Operator, Path, path_from_str, path_to_str
 from ..parser import TextMemo, parse, render
 from ..transforms import EncryptionTrace
-from .checker import CheckResult, replay
+from .checker import CheckResult, Judge
 from .objects import (
     AxiomJust,
     DefJust,
@@ -88,8 +93,9 @@ def _spell(memo: TextMemo, f: Formula) -> str:
 
 
 class _Known:
-    """One load's map from canonical text to node, so that a formula that
-    ``replay`` derives from earlier lines is looked up instead of parsed.
+    """One load's ``Judge``, and its map from canonical text to node, so
+    that a formula is looked up instead of parsed when the Judge derived it
+    from earlier lines.
 
     Every key is ``render`` output, so a hit is exactly what ``parse`` would
     return, as is the negation of a key's node for ``!`` and the key; any
@@ -102,6 +108,7 @@ class _Known:
     def __init__(self):
         self.nodes: dict[str, Formula] = {}
         self.memo = TextMemo(self.nodes)
+        self.judge = Judge()
 
     def formula(self, text: str, where: str) -> Formula:
         """``_lookup(text, where)``, with ``text`` counted into the budget."""
@@ -119,24 +126,22 @@ class _Known:
         except ParseError as exc:
             raise type(exc)(f"{where}: {exc}", exc.position) from None
 
-    def line(
-        self, text: str, decode_just, lines: list[ProofLine], where: str
-    ) -> tuple[Formula, Justification]:
-        """The formula, spelled ``text``, and the justification that
-        ``decode_just()`` reads of the line after ``lines``; when both are
-        malformed, the formula's error is raised.  What the justification
-        derives is added first, so a line that spells it is a hit: a cache,
-        while the checker still compares the two."""
+    def line(self, index: int, text: str, decode_just, where: str) -> ProofLine:
+        """The next line, numbered ``index``, its formula spelled ``text`` and
+        its justification read by ``decode_just()``, once the Judge has taken
+        it; when both are malformed, the formula's error is raised."""
         self.memo.budget += _TEXT_BUDGET * len(text)
         try:
             just = decode_just()
         except ParseError:
             self._lookup(text, where)
             raise
-        derived = replay(len(lines) + 1, just, lines)  # a CheckResult if the line is bad
-        if not isinstance(derived, CheckResult):
-            self.memo.spell(derived)
-        return self._lookup(text, where), just
+        derived = self.judge.derive(just)  # a CheckResult if the line is bad
+        if isinstance(derived, CheckResult) or self.memo.spell(derived) != text:
+            derived = self._lookup(text, where)
+        line = ProofLine(index, derived, just)
+        self.judge.take(line)
+        return line
 
 
 def _path(text: str, where: str) -> Path:
@@ -203,13 +208,12 @@ def proof_from_text(text: str) -> Proof:
         if m is None:
             raise ParseError(f"{where}: unparseable proof line {raw!r}")
         index = _number(m.group(1), where)
-        f, just = known.line(
-            m.group(2).rstrip(), lambda: _just_from_text(m.group(3), where, known), lines, where
-        )
-        lines.append(ProofLine(index, f, just))
+        lines.append(known.line(
+            index, m.group(2).rstrip(), lambda: _just_from_text(m.group(3), where, known), where
+        ))
     if not lines:
         raise ParseError("proof file has no lines")
-    return Proof(goal=lines[-1].formula, lines=lines)
+    return Proof(goal=lines[-1].formula, lines=lines, judge=known.judge)
 
 
 def _just_to_dict(just: Justification, memo: TextMemo) -> dict:
@@ -286,18 +290,16 @@ def proof_from_dict(data: dict) -> Proof:
         where = f"lines[{k}]"
         if type(entry) is not dict:
             raise ParseError(f"{where}: expected an object")
-        index = _field(entry, "index", int, where)
-        f, just = known.line(
+        lines.append(known.line(
+            _field(entry, "index", int, where),
             _field(entry, "formula", str, where),
             lambda: _just_from_dict(_field(entry, "just", dict, where), f"{where}.just", known),
-            lines,
             f"{where}.formula",
-        )
-        lines.append(ProofLine(index, f, just))
+        ))
     if not lines:
         raise ParseError("lines: proof has no lines")
     goal = known.formula(_field(data, "goal", str, ""), "goal")
-    return Proof(goal=goal, lines=lines)
+    return Proof(goal=goal, lines=lines, judge=known.judge)
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C encoder's string writer

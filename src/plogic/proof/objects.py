@@ -3,11 +3,14 @@ justifications."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..defs import Direction
 from ..formula import Formula, Operator, Path
+
+if TYPE_CHECKING:
+    from .checker import Judge
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class ProofLine:
 class Proof:
     goal: Formula
     lines: list[ProofLine]
+    # The Judge that took these lines as the loader read them, if any.
+    judge: Optional[Judge] = field(default=None, compare=False, repr=False)
 
 
 def axiom_just(schema: int, subst: dict[str, Formula]) -> AxiomJust:

@@ -34,3 +34,20 @@ def kernel_passes(monkeypatch):
 
     monkeypatch.setattr(semantics, "_fill_columns", counting)
     return passes
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """A list that gains one entry per ``checker.replay`` call, the one
+    function that replays a proof line."""
+    from plogic.proof import checker
+
+    calls = []
+    replay = checker.replay
+
+    def counting(*args):
+        calls.append(None)
+        return replay(*args)
+
+    monkeypatch.setattr(checker, "replay", counting)
+    return calls

@@ -11,7 +11,14 @@ import pytest
 
 from plogic import cli, parse, render
 from plogic.errors import MissingAtom, MissingMetavariable, NoDual, TooManyAtoms, UnknownToken
-from plogic.proof import proof_to_json, proof_to_text, prove_tautology, regrouping_goals
+from plogic.proof import (
+    MPJust,
+    proof_to_json,
+    proof_to_text,
+    prove_main_results,
+    prove_tautology,
+    regrouping_goals,
+)
 from test_proofio import MISSING, _edited_json
 
 DATA = Path(__file__).parent / "data"
@@ -499,6 +506,48 @@ def test_verify_json_on_a_malformed_file_exits_2_with_one_line(tmp_path, capsys,
     path.write_text(_edited_json(excluded_middle, ("lines",), "x"), encoding="utf-8")
     for run in _verify_both_ways(path, capsys):
         assert run == (2, "", "parse error: lines: expected a list\n")
+
+
+def test_verify_replays_each_line_of_main_result_a_once(tmp_path, capsys, replays):
+    """Loading judges each line, and the check reuses that judgement: 421
+    replays for 421 lines per run, plain or ``--json``, accepted or not."""
+    proof = prove_main_results()[0]
+    text = proof_to_text(proof)
+    mp = next(k for k, line in enumerate(proof.lines) if isinstance(line.just, MPJust))
+    just = proof.lines[mp].just
+    bad = text.replace(f" ; MP {just.major},{just.minor}\n", f" ; MP 999,{just.minor}\n", 1)
+    accepted = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 421}
+    rejected = {
+        "accepted": False, "line": mp + 1, "reason": "BadMPReference",
+        "detail": f"references 999,{just.minor} must be earlier lines", "lines": 421,
+    }
+    for name, body, expected in [
+        ("main-a.prf", text, accepted),
+        ("main-a.json", proof_to_json(proof), accepted),
+        ("bad-a.prf", bad, rejected),
+    ]:
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        replays.clear()
+        plain, machine = _verify_both_ways(path, capsys)
+        assert len(replays) == 2 * 421
+        if expected["accepted"]:
+            assert plain == (0, "accepted (421 lines)\n", "")
+        else:
+            verdict = f"rejected at line {mp + 1}: BadMPReference ({expected['detail']})\n"
+            assert plain == (4, verdict, "")
+        assert machine == (plain[0], json.dumps(expected, indent=2) + "\n", "")
+
+
+def test_verify_reports_a_malformed_line_after_a_rejected_one(tmp_path, capsys, excluded_middle):
+    lines = proof_to_text(excluded_middle).splitlines()
+    mp = next(k for k, line in enumerate(lines) if " ; MP " in line)
+    lines[mp] = lines[mp].rpartition("MP ")[0] + "MP 999,1"
+    lines[mp + 1] = lines[mp + 1].rpartition(";")[0] + "; ZAP"
+    path = tmp_path / "p.prf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for run in _verify_both_ways(path, capsys):
+        assert run == (2, "", f"parse error: line {mp + 2}: unrecognized justification 'ZAP'\n")
 
 
 # In-process calls: main builds its parser once per process, and each call

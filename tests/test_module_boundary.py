@@ -6,8 +6,9 @@ exception: the prover evaluates a branch with the semantic kernel's
 The proof checker and the rule modules it shares with the prover
 (``proof/axioms.py``, ``defs.py``) never import the prover or the proof
 file loader, directly or through another plogic module.  The loader takes
-no rule from those modules itself: it learns each line through the
-checker's ``replay``, so one function decides what a justification derives."""
+no rule from those modules itself: it hands each line to the checker's
+``Judge``, so one function (``replay``) decides what a justification
+derives, and the Judge alone compares a line with it."""
 
 import ast
 from pathlib import Path

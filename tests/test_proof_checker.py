@@ -418,3 +418,11 @@ def test_rejection_details(lines, reason, detail):
     assert (result.accepted, result.line, result.reason, result.detail) == (
         False, len(lines), reason, detail,
     )
+
+
+def test_a_judge_reuses_only_the_derivation_made_for_the_line_it_takes():
+    judge = checker.Judge()
+    assert judge.derive(_UNFOLD_IMP).detail == "no preceding line to rewrite"
+    judge.take(_AX1_P)  # not the justification derived: replayed afresh
+    judge.take(_line(2, "!(p or p) or p", _UNFOLD_IMP))  # derived for line 1, not line 2
+    assert judge.result(parse("!(p or p) or p")).accepted

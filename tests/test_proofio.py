@@ -14,6 +14,8 @@ from plogic.proof import (
     CheckResult,
     DefJust,
     MPJust,
+    Proof,
+    ProofLine,
     check_proof,
     load_proof,
     proof_from_json,
@@ -24,6 +26,8 @@ from plogic.proof import (
     prove_tautology,
 )
 from plogic.proof.io import trace_from_json, trace_to_dict
+
+from test_proof_checker import REJECTION_DETAILS
 
 
 @pytest.fixture(scope="module")
@@ -216,12 +220,19 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _fresh_verdict(proof):
+    """The verdict of a Judge that did not load ``proof``."""
+    return check_proof(Proof(proof.goal, list(proof.lines)))
+
+
 def _loads_or_rejects(text):
     try:
         proof = load_proof(text)
     except ParseError:
         return
-    assert isinstance(check_proof(proof), CheckResult)
+    verdict = check_proof(proof)
+    assert isinstance(verdict, CheckResult)
+    assert verdict == _fresh_verdict(proof)
 
 
 def _positions(data):
@@ -488,3 +499,116 @@ def test_a_load_keeps_no_formula_alive_after_its_proof_is_dropped():
     del proof
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+
+
+# A load judges each line as it reads it, and ``check_proof`` reuses that
+# judgement only while the proof holds exactly the lines it judged.  Its
+# verdict must be the one a fresh check gives.
+
+def _first(proof, kind, after=0):
+    """The list position, ``after`` or later, of the first line justified by ``kind``."""
+    return next(
+        k for k, line in enumerate(proof.lines) if k >= after and isinstance(line.just, kind)
+    )
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["a", "b", "c", "d"])
+def test_a_loaded_main_result_gets_the_verdict_of_a_fresh_check(main_results, which):
+    """Each mutant is edited in JSON, and written again as text."""
+    proof = main_results[which]
+    mp, ax, mid = _first(proof, MPJust), _first(proof, AxiomJust), len(proof.lines) // 2
+    dfn = _first(proof, DefJust, after=1)
+    edits = [
+        ((), None, None),
+        (("lines", mp, "just", "major"), 999, "BadMPReference"),
+        (("lines", dfn, "just", "path"), "L" * 64, "DefMismatch"),
+        (("lines", ax, "formula"), "!" + render(proof.lines[ax].formula), "NotAnAxiomInstance"),
+        (("lines", mid, "index"), mid + 7, "BadLineIndex"),
+        (("goal",), "(p or !p)", "GoalMismatch"),
+    ]
+    for keys, value, reason in edits:
+        as_json = _edited_json(proof, keys, value) if keys else proof_to_json(proof)
+        for text in (as_json, proof_to_text(load_proof(as_json))):
+            loaded = load_proof(text)
+            verdict = check_proof(loaded)
+            assert verdict == _fresh_verdict(loaded)
+            if reason is None or (keys == ("goal",) and text is not as_json):
+                assert verdict.accepted  # a text file's goal is its last line
+            else:
+                assert (verdict.accepted, verdict.reason) == (False, reason)
+
+
+@pytest.mark.parametrize("dump", [proof_to_text, proof_to_json], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "lines,reason,detail", REJECTION_DETAILS, ids=[d for _, _, d in REJECTION_DETAILS]
+)
+def test_a_loaded_mutant_gets_the_verdict_of_a_fresh_check(dump, lines, reason, detail):
+    loaded = load_proof(dump(Proof(lines[-1].formula, lines)))
+    verdict = check_proof(loaded)
+    assert verdict == _fresh_verdict(loaded)
+    assert (verdict.accepted, verdict.line, verdict.reason, verdict.detail) == (
+        False, len(lines), reason, detail,
+    )
+
+
+def test_an_unchanged_loaded_proof_is_not_replayed_again(replays):
+    text = proof_to_text(FUZZ_PROOF)
+    loaded = load_proof(text)
+    assert len(replays) == len(loaded.lines)
+    assert check_proof(loaded).accepted and check_proof(loaded).accepted
+    assert len(replays) == len(loaded.lines)
+
+
+_AX = _first(FUZZ_PROOF, AxiomJust)
+_PREMISE = FUZZ_PROOF.lines[_first(FUZZ_PROOF, MPJust)].just.minor - 1  # an AX line
+
+
+def _negated(line):
+    return parse("!" + render(line.formula))
+
+
+def _replace_line(lines):
+    lines[_AX] = ProofLine(_AX + 1, _negated(lines[_AX]), lines[_AX].just)
+
+
+def _rebind_premise(lines):
+    lines[_PREMISE].formula = _negated(lines[_PREMISE])
+
+
+def _rejustify(lines):
+    lines[_AX].just = MPJust(999, 1)
+
+
+def _renumber(lines):
+    lines[_AX].index = _AX + 2
+
+
+def _append(lines):
+    lines.append(ProofLine(len(lines) + 1, lines[0].formula, lines[0].just))
+
+
+def _pop(lines):
+    lines.pop()
+
+
+# (edit of a loaded proof's lines, the reason a fresh check rejects it for)
+EDITS = [
+    (_replace_line, "NotAnAxiomInstance"),
+    (_rebind_premise, "NotAnAxiomInstance"),
+    (_rejustify, "BadMPReference"),
+    (_renumber, "BadLineIndex"),
+    (_append, "GoalMismatch"),
+    (_pop, "GoalMismatch"),
+]
+
+
+@pytest.mark.parametrize("edit, reason", EDITS, ids=[e.__name__.strip("_") for e, _ in EDITS])
+def test_an_edited_loaded_proof_is_judged_afresh(edit, reason):
+    """Each edit turns the accepted proof into a rejected one, which only
+    a fresh judgement sees."""
+    loaded = load_proof(proof_to_text(FUZZ_PROOF))
+    assert check_proof(loaded).accepted
+    edit(loaded.lines)
+    verdict = check_proof(loaded)
+    assert (verdict.accepted, verdict.reason) == (False, reason)
+    assert verdict == _fresh_verdict(loaded)
