@@ -505,19 +505,17 @@ def test_a_load_keeps_no_formula_alive_after_its_proof_is_dropped():
 # judgement only while the proof holds exactly the lines it judged.  Its
 # verdict must be the one a fresh check gives.
 
-def _first(proof, kind, after=0):
-    """The list position, ``after`` or later, of the first line justified by ``kind``."""
-    return next(
-        k for k, line in enumerate(proof.lines) if k >= after and isinstance(line.just, kind)
-    )
+def _first(proof, kind):
+    """The list position of the first line justified by ``kind``."""
+    return next(k for k, line in enumerate(proof.lines) if isinstance(line.just, kind))
 
 
 @pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["a", "b", "c", "d"])
 def test_a_loaded_main_result_gets_the_verdict_of_a_fresh_check(main_results, which):
     """Each mutant is edited in JSON, and written again as text."""
     proof = main_results[which]
-    mp, ax, mid = _first(proof, MPJust), _first(proof, AxiomJust), len(proof.lines) // 2
-    dfn = _first(proof, DefJust, after=1)
+    mp, ax, dfn = _first(proof, MPJust), _first(proof, AxiomJust), _first(proof, DefJust)
+    mid = len(proof.lines) // 2
     edits = [
         ((), None, None),
         (("lines", mp, "just", "major"), 999, "BadMPReference"),
