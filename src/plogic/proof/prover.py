@@ -27,8 +27,9 @@ this repeats, newest atom first, until no guards remain.  Both methods end
 in DEF lines that fold f0 back into the original goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
-single DEF steps; theorems already on some line are reused by reference,
-never re-derived.
+single DEF steps.  A theorem already on some line is reused by reference:
+no theorem is written on a second line, except where a DEF step must copy
+an older line to rewrite it (_copy).
 """
 from __future__ import annotations
 
@@ -90,9 +91,6 @@ class _Builder:
     def formula_at(self, idx: int) -> Formula:
         return self.lines[idx - 1].formula
 
-    def have(self, f: Formula) -> int | None:
-        return self.memo.get(f)
-
     def emit(self, f: Formula, just) -> int:
         if len(self.lines) >= MAX_PROOF_LINES:
             raise ProofTooLarge(f"proof exceeds the {MAX_PROOF_LINES}-line guardrail")
@@ -103,7 +101,7 @@ class _Builder:
 
     def axiom(self, schema: int, **subst: Formula) -> int:
         f = axiom_instance(schema, subst)
-        hit = self.have(f)
+        hit = self.memo.get(f)
         if hit is not None:
             return hit
         return self.emit(f, axiom_just(schema, subst))
@@ -112,7 +110,7 @@ class _Builder:
         parts = major_parts(self.formula_at(major))
         if parts is None or parts[0] != self.formula_at(minor):
             raise AssertionError("internal: malformed modus ponens")
-        hit = self.have(parts[1])
+        hit = self.memo.get(parts[1])
         if hit is not None:
             return hit
         return self.emit(parts[1], MPJust(major, minor))
@@ -129,7 +127,7 @@ def _def_step(
 ) -> int:
     """One definitional rewrite; DEF lines rewrite the line directly above."""
     target = rewrite(b.formula_at(source), name, path, direction)
-    hit = b.have(target)
+    hit = b.memo.get(target)
     if hit is not None:
         return hit
     if source != len(b.lines):
@@ -143,32 +141,22 @@ def _fold_imp_root(b: _Builder, idx: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Derived-lemma library.  Each function returns the index of a line whose
-# formula is exactly the stated theorem, deriving it only on first request.
+# formula is exactly the stated theorem.  Asked again, a lemma returns the
+# memo's line at once or re-walks steps that each hit the memo.
 
 
 def _imp_self(b: _Builder, a: Formula) -> int:
     """A imp A"""
-    hit = b.have(_imp(a, a))
-    if hit is not None:
-        return hit
     return _syl(b, b.axiom(2, A=a, B=a), b.axiom(1, A=a))
 
 
 def _lem_flipped(b: _Builder, a: Formula) -> int:
     """!A or A"""
-    target = _disj(Not(a), a)
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     return _def_step(b, _imp_self(b, a), _IMP, (), Direction.UNFOLD)
 
 
 def _lem(b: _Builder, a: Formula) -> int:
     """A or !A"""
-    target = _disj(a, Not(a))
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     flip = b.axiom(3, A=Not(a), B=a)
     return b.mp(flip, _lem_flipped(b, a))
 
@@ -180,14 +168,13 @@ def _syl(b: _Builder, first: int, second: int) -> int:
     assert isinstance(f1, Bin) and isinstance(f2, Bin)
     x, y, z = f1.left, f1.right, f2.right
     assert f2.left == y
-    target = _imp(x, z)
-    hit = b.have(target)
+    hit = b.memo.get(_imp(x, z))
     if hit is not None:
         return hit
     four = b.axiom(4, A=Not(x), B=y, C=z)
     chain = b.mp(four, second)  # (!X or Y) imp (!X or Z)
     folded = _def_step(b, chain, _IMP, (Step.LEFT,), Direction.FOLD)  # (X imp Y) imp (!X or Z)
-    if b.have(_disj(Not(x), z)) is not None:  # an older line, which a fold would copy
+    if _disj(Not(x), z) in b.memo:  # an older line, which a fold would copy
         return b.mp(_def_step(b, folded, _IMP, (Step.RIGHT,), Direction.FOLD), first)
     return _fold_imp_root(b, b.mp(folded, first))  # via !X or Z
 
@@ -196,8 +183,7 @@ def _sum_left(b: _Builder, p: Formula, impl: int) -> int:
     """From X imp Y: (P or X) imp (P or Y)."""
     f = b.formula_at(impl)
     assert isinstance(f, Bin) and f.op is _IMP
-    target = _imp(_disj(p, f.left), _disj(p, f.right))
-    hit = b.have(target)
+    hit = b.memo.get(_imp(_disj(p, f.left), _disj(p, f.right)))
     if hit is not None:
         return hit
     four = b.axiom(4, A=p, B=f.left, C=f.right)
@@ -214,8 +200,7 @@ def _cases(b: _Builder, impl: int, line: int) -> int:
 
 def _add_right(b: _Builder, a: Formula, p: Formula) -> int:
     """A imp (P or A)"""
-    target = _imp(a, _disj(p, a))
-    hit = b.have(target)
+    hit = b.memo.get(_imp(a, _disj(p, a)))
     if hit is not None:
         return hit
     grow = b.axiom(2, A=a, B=p)  # A imp (A or P)
@@ -228,10 +213,6 @@ def _absorb(b: _Builder, impl: int) -> int:
     f = b.formula_at(impl)
     assert isinstance(f, Bin) and f.op is _IMP
     a, y = f.left, f.right
-    target = _imp(_disj(a, y), y)
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     swap = b.axiom(3, A=a, B=y)  # (A or Y) imp (Y or A)
     doubled = _syl(b, swap, _sum_left(b, y, impl))  # (A or Y) imp (Y or Y)
     return _syl(b, doubled, b.axiom(1, A=y))
@@ -239,13 +220,8 @@ def _absorb(b: _Builder, impl: int) -> int:
 
 def _exch(b: _Builder, a: Formula, c: Formula, d: Formula) -> int:
     """(A or (C or D)) imp (C or (A or D))"""
-    inner = _disj(c, _disj(a, d))
-    target = _imp(_disj(a, _disj(c, d)), inner)
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     grow = _add_right(b, d, a)  # D imp (A or D)
-    lifted = _sum_left(b, c, grow)  # (C or D) imp (C or (A or D))
+    lifted = _sum_left(b, c, grow)  # (C or D) imp inner, inner = C or (A or D)
     lifted = _sum_left(b, a, lifted)  # (A or (C or D)) imp (A or inner)
     into = _syl(b, b.axiom(2, A=a, B=d), _add_right(b, _disj(a, d), c))
     # into: A imp inner
@@ -255,8 +231,7 @@ def _exch(b: _Builder, a: Formula, c: Formula, d: Formula) -> int:
 
 def _dni(b: _Builder, a: Formula) -> int:
     """A imp !!A"""
-    target = _imp(a, Not(Not(a)))
-    hit = b.have(target)
+    hit = b.memo.get(_imp(a, Not(Not(a))))
     if hit is not None:
         return hit
     return _fold_imp_root(b, _lem(b, Not(a)))
@@ -297,10 +272,6 @@ def _assoc(b: _Builder, x: Formula, y: Formula, z: Formula, forward: bool) -> in
 def _nor_intro(b: _Builder, g: Formula, h: Formula) -> int:
     """!G imp (!H imp !(G or H))"""
     z = Not(_disj(g, h))
-    target = _imp(Not(g), _imp(Not(h), z))
-    hit = b.have(target)
-    if hit is not None:
-        return hit
     lem = _lem_flipped(b, _disj(g, h))  # Z or (G or H)
     split = b.mp(_exch(b, z, g, h), lem)  # G or (Z or H)
     moved = _cases(b, _dni(b, g), split)  # (Z or H) or !!G

@@ -82,8 +82,12 @@ def test_every_line_of_an_accepted_proof_is_a_tautology():
 
 
 def test_random_tautology_corpus_is_accepted(rng):
+    """100 random 3-atom tautologies, accepted, with their total line count
+    and the sha256 of their concatenated texts pinned: a lemma refactor that
+    changes any of these proofs shows here."""
     names = ["p", "q", "r"]
-    accepted = 0
+    accepted = lines = 0
+    digest = hashlib.sha256()
     while accepted < 100:
         f = random_formula(rng, names, 4)
         if not bit_is_tautology(f):
@@ -92,6 +96,30 @@ def test_random_tautology_corpus_is_accepted(rng):
         result = check_proof(proof)
         assert result.accepted, f"rejected at {result.line}: {result.reason}"
         accepted += 1
+        lines += len(proof.lines)
+        digest.update(proof_to_text(proof).encode("utf-8"))
+    assert (lines, digest.hexdigest()) == (
+        80313, "4c7ec5481611e91f8be5190a0ee2d1af2cb99b94aaed7cc71d9b62a22b2fe993"
+    )
+
+
+def test_the_one_copied_line_is_accepted(monkeypatch):
+    """The fold-back of this goal starts on an older line, the !X or Z line
+    of an earlier _add_right, so _def_step copies it once: the only formula
+    that repeats in the proof."""
+    copies = []
+    real_copy = plogic.proof.prover._copy
+
+    def counted(b, idx):
+        copies.append(idx)
+        return real_copy(b, idx)
+
+    monkeypatch.setattr(plogic.proof.prover, "_copy", counted)
+    proof = prove_tautology(parse("q imp (((p nor q) nor !r) imp q)"))
+    assert check_proof(proof).accepted
+    assert (len(proof.lines), len(copies)) == (308, 1)
+    formulas = [line.formula for line in proof.lines]
+    assert len(formulas) - len(set(formulas)) == 1
 
 
 def test_case_step_resolves_an_implication_against_a_disjunction():
