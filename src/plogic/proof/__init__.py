@@ -13,6 +13,7 @@ from .prover import (
     GENERATOR_ATOM_LIMIT,
     MAX_PROOF_LINES,
     main_result_goals,
+    prove_by_cases,
     prove_main_results,
     prove_tautology,
     regrouping_goals,

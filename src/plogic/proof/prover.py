@@ -1,4 +1,4 @@
-"""Constructive proof generation for tautologies, by two methods.
+"""Constructive proof generation for tautologies, by three methods.
 
 An equivalence A iff B whose sides share one normal form under !!X -> X
 and (X or Y) or Z -> X or (Y or Z) takes the rewrite route, as the paper's
@@ -7,8 +7,12 @@ top-down, each step a derived lemma lifted into place by congruence, and
 the chained steps give A imp B and B imp A.  The sides' forms may also be
 one distribution step apart, X or !(U or V) against
 !(!(X or !U) or !(X or !V)) at the root of one side's form or under one
-negation there; that step is one more derived lemma in the chain.  No
-truth table is needed, and proofs grow with the formula, not with 2^n.
+negation there; that step is one more derived lemma in the chain.
+A clause takes the clause route, as Hilbert-Ackermann derive every
+tautological clause: where some X and also !X lie on the goal's disjunct
+spine (the operands of its disjunctions, and Y under each !!Y), each gives
+an implication into the goal, which X or !X resolves.  Neither route needs
+a truth table, and their proofs grow with the formula, not with 2^n.
 Any other goal falls back to the classical recipe: case-split on the atoms,
 prove the goal under every full assignment, then eliminate the case
 hypotheses pairwise.  A branch for the assignment v is derived directly as
@@ -23,8 +27,8 @@ underneath the guard literals, lifted by the sum axiom; as in Kalmár's
 lemma, each subformula has only its own atoms' guards.  The case split
 fixes q1 first and qn last, so two branches that differ only in qn differ
 only in their outermost guard, and resolving qn against !qn merges them;
-this repeats, newest atom first, until no guards remain.  Both methods end
-in DEF lines that fold f0 back into the original goal.
+this repeats, newest atom first, until no guards remain.  Every method
+ends in DEF lines that fold f0 back into the original goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
 single DEF steps.  A theorem already on some line is reused by reference:
@@ -98,6 +102,12 @@ class _Builder:
         self.lines.append(ProofLine(idx, f, just))
         self.memo.setdefault(f, idx)
         return idx
+
+    def cut(self, idx: int) -> None:
+        """Drop the lines after ``idx``, which no line up to it cites."""
+        if idx < len(self.lines):
+            del self.lines[idx:]
+            self.memo = {f: i for f, i in self.memo.items() if i <= idx}
 
     def axiom(self, schema: int, **subst: Formula) -> int:
         f = axiom_instance(schema, subst)
@@ -608,6 +618,59 @@ def _rewrite_route(b: _Builder, f0: Formula) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# The clause route: a disjunction that holds some X and also !X, as
+# Hilbert-Ackermann derive every tautological clause from X or !X.
+
+
+def _clause_route(b: _Builder, f0: Formula) -> int | None:
+    """f0 from X or !X, where X and !X both lie on the disjunct spine of f0:
+    f0, the operands of each disjunction on it and Y under each !!Y on it.
+
+    Each spine node on the way down to X and to !X gets node imp f0 once,
+    top-down, from its parent's: AX2 for a left operand, _add_right for a
+    right one, _dni under !!, each chained by _syl.  Two _cases against
+    _lem(X) give f0 or f0, and AX1 gives f0.  None, with no line written,
+    where no such pair lies on the spine."""
+    parent: dict[Formula, Formula | None] = {f0: None}  # spine node -> parent where first met
+    todo = [f0]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Bin):
+            kids = (node.right, node.left)
+        elif isinstance(node, Not) and isinstance(node.child, Not):
+            kids = (node.child.child,)
+        else:
+            continue
+        for kid in kids:
+            if kid not in parent:
+                parent[kid] = node
+                todo.append(kid)
+    neg = next((n for n in parent if isinstance(n, Not) and n.child in parent), None)
+    if neg is None:
+        return None
+    to_f0: dict[Formula, int | None] = {f0: None}  # node imp f0; f0 needs none
+    for end in (neg.child, neg):
+        path = []
+        while end not in to_f0:
+            path.append(end)
+            end = parent[end]
+        for node in reversed(path):
+            up = parent[node]
+            if isinstance(up, Not):
+                step = _dni(b, node)
+            elif up.left is node:
+                step = b.axiom(2, A=node, B=up.right)
+            else:
+                step = _add_right(b, node, up.left)
+            to_f0[node] = step if to_f0[up] is None else _syl(b, step, to_f0[up])
+    flipped = _cases(b, to_f0[neg.child], _lem(b, neg.child))  # !X or f0
+    doubled = _cases(b, to_f0[neg], flipped)  # f0 or f0
+    idx = b.mp(b.axiom(1, A=f0), doubled)
+    b.cut(idx)  # f0 may be an older line: end there, so the fold-back copies none
+    return idx
+
+
+# ---------------------------------------------------------------------------
 # Entry points.
 
 
@@ -630,13 +693,17 @@ def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
     return g, steps
 
 
-def prove_tautology(f: Formula) -> Proof:
-    """A checkable proof of ``f``; raises NotATautology with a countermodel, and
-    TooManyAtoms past GENERATOR_ATOM_LIMIT where the rewrite route does not apply."""
+def _prove(f: Formula, *routes) -> Proof:
+    """A proof of ``f`` by the first of ``routes`` that applies, each tried on
+    the primitive goal f0, else by Kalmár's case split; then f0 is folded
+    back into ``f``."""
     f0, steps = _unfold_plan(f)
     b = _Builder()
-    idx = _rewrite_route(b, f0)
-    if idx is None:
+    for route in routes:
+        idx = route(b, f0)
+        if idx is not None:
+            break
+    else:
         names = atoms_of(f)
         if len(names) > GENERATOR_ATOM_LIMIT:
             raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
@@ -647,6 +714,20 @@ def prove_tautology(f: Formula) -> Proof:
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)
     return Proof(goal=f, lines=b.lines[:idx])  # an older goal line ends the proof
+
+
+def prove_tautology(f: Formula) -> Proof:
+    """A checkable proof of ``f`` by the rewrite route, else the clause route,
+    else the case split; raises NotATautology with a countermodel, and
+    TooManyAtoms past GENERATOR_ATOM_LIMIT where neither route applies."""
+    return _prove(f, _rewrite_route, _clause_route)
+
+
+def prove_by_cases(f: Formula) -> Proof:
+    """A checkable proof of ``f`` by Kalmár's case split alone, whatever its
+    shape; raises NotATautology with a countermodel, and TooManyAtoms past
+    GENERATOR_ATOM_LIMIT."""
+    return _prove(f)
 
 
 def regrouping_goals(n: int) -> list[Formula]:

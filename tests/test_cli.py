@@ -445,7 +445,7 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 
 
 # verify --json: one object, {accepted, line, reason, detail, lines}, on
-# exit 0 and 4.  Each mutant edits the 19-line proof of (p or !p); in it,
+# exit 0 and 4.  Each mutant edits the 16-line proof of (p or !p); in it,
 # entry 0 is an AX2 line, entry 5 a DEF line and entry 6 an MP line.
 # UnsupportedJustification is left out: the loader builds no other kind of
 # line, so no file reaches it.
@@ -459,7 +459,7 @@ VERIFY_MUTANTS = [
      "line 3 does not match the antecedent of line 6"),
     (("lines", 5, "just", "path"), "", 6, "DefMismatch",
      "subformula at path does not match the imp definition"),
-    (("goal",), "(q or !q)", 19, "GoalMismatch", "last line does not equal the goal"),
+    (("goal",), "(q or !q)", 16, "GoalMismatch", "last line does not equal the goal"),
     (("lines", 1, "index"), 3, 2, "BadLineIndex", "expected index 2, found 3"),
 ]
 
@@ -482,8 +482,8 @@ def test_verify_json_reports_an_accepted_proof(tmp_path, capsys, excluded_middle
     path = tmp_path / "p.prf"
     path.write_text(proof_to_text(excluded_middle), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
-    assert plain == (0, "accepted (19 lines)\n", "")
-    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 19}
+    assert plain == (0, "accepted (16 lines)\n", "")
+    expected = {"accepted": True, "line": None, "reason": None, "detail": None, "lines": 16}
     assert machine == (0, json.dumps(expected, indent=2) + "\n", "")
 
 
@@ -497,7 +497,7 @@ def test_verify_json_reports_each_rejection(
     path.write_text(_edited_json(excluded_middle, keys, value), encoding="utf-8")
     plain, machine = _verify_both_ways(path, capsys)
     assert plain == (4, f"rejected at line {line}: {reason} ({detail})\n", "")
-    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 19}
+    expected = {"accepted": False, "line": line, "reason": reason, "detail": detail, "lines": 16}
     assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
 
 

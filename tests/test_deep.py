@@ -169,7 +169,7 @@ def negations_1100():
 
 def test_prove_and_check_under_1100_negations(negations_1100):
     proof = negations_1100
-    assert len(proof.lines) == 8830
+    assert len(proof.lines) == 8281
     assert proof.lines[-1].formula is parse("!" * 1100 + "(p or !p)")
     assert check_proof(proof).accepted
 

@@ -1,9 +1,10 @@
 import hashlib
+import random
 
 import pytest
 
 import plogic.proof.prover
-from plogic import Not, is_tautology, parse
+from plogic import Atom, Bin, Not, Operator, atoms_of, is_tautology, parse
 from plogic.errors import NotATautology, ProofTooLarge, TooManyAtoms
 from plogic.proof import (
     AxiomJust,
@@ -13,6 +14,7 @@ from plogic.proof import (
     main_result_goals,
     proof_to_json,
     proof_to_text,
+    prove_by_cases,
     prove_main_results,
     prove_tautology,
     regrouping_goals,
@@ -40,13 +42,19 @@ def test_non_tautology_reports_a_countermodel():
 
 
 def test_atom_limit():
-    from plogic import Atom, Bin, Operator
-
-    wide = Atom("x0")
+    """GENERATOR_ATOM_LIMIT binds the case split: an 11-atom clause holding
+    x0 and !x0 proves by the clause route, but not by cases, and an 11-atom
+    goal that no route takes is refused."""
+    xs = [Atom(f"x{i}") for i in range(11)]
+    wide, backward = xs[0], xs[-1]
     for i in range(1, 11):
-        wide = Bin(Operator.OR, wide, Atom(f"x{i}"))
+        wide, backward = Bin(Operator.OR, wide, xs[i]), Bin(Operator.OR, backward, xs[-1 - i])
+    clause = Bin(Operator.OR, wide, Not(xs[0]))
+    assert check_proof(prove_tautology(clause)).accepted
     with pytest.raises(TooManyAtoms):
-        prove_tautology(Bin(Operator.OR, wide, Not(Atom("x0"))))
+        prove_by_cases(clause)
+    with pytest.raises(TooManyAtoms):  # the sides' or-chains differ by commutation
+        prove_tautology(Bin(Operator.IFF, wide, backward))
 
 
 def test_line_guardrail(monkeypatch):
@@ -99,14 +107,14 @@ def test_random_tautology_corpus_is_accepted(rng):
         lines += len(proof.lines)
         digest.update(proof_to_text(proof).encode("utf-8"))
     assert (lines, digest.hexdigest()) == (
-        80313, "4c7ec5481611e91f8be5190a0ee2d1af2cb99b94aaed7cc71d9b62a22b2fe993"
+        69719, "30dce99c2cc8a691bd6da25b6f77eafba80aaa06551f8f8214f8502879ccf2cd"
     )
 
 
 def test_the_one_copied_line_is_accepted(monkeypatch):
-    """The fold-back of this goal starts on an older line, the !X or Z line
-    of an earlier _add_right, so _def_step copies it once: the only formula
-    that repeats in the proof."""
+    """By cases, the fold-back of this goal starts on an older line, the
+    !X or Z line of an earlier _add_right, so _def_step copies it once: the
+    only formula that repeats in the proof."""
     copies = []
     real_copy = plogic.proof.prover._copy
 
@@ -115,7 +123,7 @@ def test_the_one_copied_line_is_accepted(monkeypatch):
         return real_copy(b, idx)
 
     monkeypatch.setattr(plogic.proof.prover, "_copy", counted)
-    proof = prove_tautology(parse("q imp (((p nor q) nor !r) imp q)"))
+    proof = prove_by_cases(parse("q imp (((p nor q) nor !r) imp q)"))
     assert check_proof(proof).accepted
     assert (len(proof.lines), len(copies)) == (308, 1)
     formulas = [line.formula for line in proof.lines]
@@ -384,3 +392,136 @@ def test_a_distribution_off_the_root_goes_to_the_case_split(monkeypatch):
     routed = [proof_to_text(prove_tautology(g)) for g in goals]
     monkeypatch.setattr(plogic.proof.prover, "_rewrite_route", lambda b, f0: None)
     assert routed == [proof_to_text(prove_tautology(g)) for g in goals]
+
+
+# The clause route: a goal whose disjunct spine (the operands of each
+# disjunction on it, and Y under each !!Y) holds some X and also !X.  The
+# or-chains below hold x and !x among n operands; a1 ... an-2 fill the rest.
+# Each spelling writes "a or b" with one connective.
+OR_SPELLINGS = {
+    "or": lambda a, b: Bin(Operator.OR, a, b),
+    "imp": lambda a, b: Bin(Operator.IMP, Not(a), b),
+    "and": lambda a, b: Not(Bin(Operator.AND, Not(a), Not(b))),
+    "nor": lambda a, b: Not(Bin(Operator.NOR, a, b)),
+    "nand": lambda a, b: Bin(Operator.NAND, Not(a), Not(b)),
+    "nimp": lambda a, b: Not(Bin(Operator.NIMP, Not(a), b)),
+}
+PAIR_PLACES = {  # where x and !x stand among the n operands
+    "ends": lambda n: (0, n - 1),
+    "ends-reversed": lambda n: (n - 1, 0),
+    "front": lambda n: (0, 1),
+    "back": lambda n: (n - 2, n - 1),
+    "middle": lambda n: (n // 2 - 1, n // 2),
+}
+
+
+def _clause_operands(n, place):
+    operands = [Atom(f"a{i}") for i in range(1, n - 1)]
+    for i, item in sorted(zip(PAIR_PLACES[place](n), (Atom("x"), Not(Atom("x"))))):
+        operands.insert(i, item)
+    return operands
+
+
+def _bracket(operands, shape, join, rng=None):
+    """Join the operands as a left comb, a right comb or, by ``rng``, any
+    bracketing; ``join`` spells each disjunction."""
+    items = list(operands)
+    while len(items) > 1:
+        if shape == "left":
+            k = 0
+        elif shape == "right":
+            k = len(items) - 2
+        else:
+            k = rng.randrange(len(items) - 1)
+        items[k:k + 2] = [join(items[k], items[k + 1])]
+    return items[0]
+
+
+CLAUSE_SIZES = [2, 3, 4, 5, 6, 7, 10, 25, 50, 100]
+
+
+def _clause_bound(n):
+    """Lines allowed to a clause route proof over n operands, linear in n:
+    a disjunction spelled with a defined connective adds _dni steps."""
+    return 45 * n + 60
+
+
+@pytest.mark.parametrize("place", PAIR_PLACES)
+@pytest.mark.parametrize("shape", ["left", "right", "seeded"])
+def test_or_chains_take_the_clause_route(no_case_split, shape, place):
+    """Up to 100 operands, past GENERATOR_ATOM_LIMIT.  From n = 4 on, a comb
+    grows by the same number of lines per operand where the pair sits at
+    its ends; every proof stays within _clause_bound.  For n <= 6 the oracle
+    confirms that every line is a tautology."""
+    rng = random.Random(f"{shape}:{place}")
+    sizes = []
+    for n in CLAUSE_SIZES:
+        goal = _bracket(_clause_operands(n, place), shape, OR_SPELLINGS["or"], rng)
+        proof = prove_tautology(goal)
+        _accepted_without_repeats(proof)
+        assert len(proof.lines) <= _clause_bound(n), (n, len(proof.lines))
+        if n <= 6:
+            assert all(bit_is_tautology(line.formula) for line in proof.lines), goal
+        sizes.append(len(proof.lines))
+    if shape != "seeded" and place.startswith("ends"):
+        steps = [(b - a) / (m - n) for a, b, n, m in
+                 zip(sizes[2:], sizes[3:], CLAUSE_SIZES[2:], CLAUSE_SIZES[3:])]
+        assert len(set(steps)) == 1, sizes
+
+
+@pytest.mark.parametrize("spelling", [s for s in OR_SPELLINGS if s != "or"])
+def test_clauses_spelled_with_defined_connectives_take_the_clause_route(no_case_split, spelling):
+    """Every disjunction spelled with one connective, or (seeded) each with
+    one of them all, up to 25 operands: unfolding and folding back a comb of
+    defined connectives takes time quadratic in its depth.  For n <= 6 the
+    oracle confirms that every line is a tautology."""
+    rng = random.Random(spelling)
+    join = OR_SPELLINGS[spelling]
+
+    def mixed(a, b):
+        return OR_SPELLINGS[rng.choice(list(OR_SPELLINGS))](a, b)
+
+    for n in CLAUSE_SIZES[:-2]:
+        for place in PAIR_PLACES:
+            for shape, spell in (("left", join), ("right", join), ("seeded", mixed)):
+                goal = _bracket(_clause_operands(n, place), shape, spell, rng)
+                proof = prove_tautology(goal)
+                _accepted_without_repeats(proof)
+                assert len(proof.lines) <= _clause_bound(n), (goal, len(proof.lines))
+                if n <= 6:
+                    assert all(bit_is_tautology(line.formula) for line in proof.lines), goal
+
+
+@pytest.mark.parametrize("width", [11, 24])
+def test_a_clause_past_the_atom_limit_proves(no_case_split, width):
+    """A clause over 11 and 24 atoms, its pair !!x and !x in the middle,
+    each disjunction spelled with a seeded choice of connective."""
+    from plogic.proof import GENERATOR_ATOM_LIMIT
+
+    names = [f"p{i}" for i in range(1, width)]
+    operands = [Atom(n) if i % 2 else Not(Atom(n)) for i, n in enumerate(names)]
+    operands[width // 2:width // 2] = [Not(Not(Atom("x"))), Not(Atom("x"))]
+    rng = random.Random(width)
+    goal = _bracket(operands, "seeded",
+                    lambda a, b: OR_SPELLINGS[rng.choice(list(OR_SPELLINGS))](a, b), rng)
+    assert len(atoms_of(goal)) == width > GENERATOR_ATOM_LIMIT
+    _accepted_without_repeats(prove_tautology(goal))
+
+
+NO_PAIR_CLAUSES = [
+    "(p and q) imp (q and p)",
+    "(p or q) imp (q or p)",
+    "p imp (q imp (p and q))",
+    "!!(p or !!q) or !(p or q)",
+]
+
+
+def test_a_goal_with_no_pair_on_its_spine_takes_the_case_split(monkeypatch):
+    """The clause route writes no line before it gives up: the proof is the
+    one made with the route switched off."""
+    goals = [parse(t) for t in NO_PAIR_CLAUSES]
+    assert all(bit_is_tautology(g) for g in goals)
+    routed = [proof_to_text(prove_tautology(g)) for g in goals]
+    monkeypatch.setattr(plogic.proof.prover, "_clause_route", lambda b, f0: None)
+    assert routed == [proof_to_text(prove_tautology(g)) for g in goals]
+    assert routed == [proof_to_text(prove_by_cases(g)) for g in goals]
