@@ -13,10 +13,9 @@ tautological clause: where some X and also !X lie on the goal's disjunct
 spine (the operands of its disjunctions, and Y under each !!Y), each gives
 an implication into the goal, which X or !X resolves.  Neither route needs
 a truth table, and their proofs grow with the formula, not with 2^n.
-Any other goal falls back to the classical recipe: case-split on the atoms,
-prove the goal under every full assignment, then eliminate the case
-hypotheses pairwise.  A branch for the assignment v is derived directly as
-the closed theorem
+The case split takes any goal: prove it under every full assignment, then
+eliminate the case hypotheses pairwise.  A branch for the assignment v is
+derived directly as the closed theorem
 
     Ln or (... (L2 or (L1 or f0)))
 
@@ -27,13 +26,14 @@ underneath the guard literals, lifted by the sum axiom; as in Kalmár's
 lemma, each subformula has only its own atoms' guards.  The case split
 fixes q1 first and qn last, so two branches that differ only in qn differ
 only in their outermost guard, and resolving qn against !qn merges them;
-this repeats, newest atom first, until no guards remain.  Every method
-ends in DEF lines that fold f0 back into the original goal.
+this repeats, newest atom first, until no guards remain.  _prove tries
+the methods in turn; the f0 line that the first one gives ends the proof,
+old or new, and DEF lines fold it back into the goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
-single DEF steps.  A theorem already on some line is reused by reference:
-no theorem is written on a second line, except where a DEF step must copy
-an older line to rewrite it (_copy).
+single DEF steps.  A theorem already on some line is reused by reference,
+never written twice, except where a DEF step must copy an older line
+(_copy): in _syl under _add_right, _exch or _chain, or _lem_flipped under _dne.
 """
 from __future__ import annotations
 
@@ -404,7 +404,6 @@ def _derive_branch(
     nodes: list[Formula],
     atom_names: list[str],
     values: dict[str, int],
-    line: dict,
 ) -> int:
     """nest(guards(v), f0) for the full assignment v (a true branch), where
     f0 is the last of ``nodes``, its subformulas in ``subformulas`` order.
@@ -413,8 +412,8 @@ def _derive_branch(
     disjunction widens its operands' lines to its own.  Lines come in the
     order of the natural recursion: a node's lemma, its operands' lines,
     then the step joining them.  A todo entry (node, None) enters a node
-    and (node, lemma) finishes it; lemma 0 stands for none.  ``line`` maps
-    (node, own guards) across branches: no node is derived twice.
+    and (node, lemma) finishes it; lemma 0 stands for none.  A node that an
+    earlier branch derived is walked again, each of its steps a memo hit.
     """
     # newest atom first: the last atom's literal is outermost, so the case
     # split on it finds it in front
@@ -429,21 +428,22 @@ def _derive_branch(
         else:
             both = own[node.left] + own[node.right]
             own[node] = tuple(g for g in guards if g in both)
+    line: dict[Formula, int] = {}
     todo: list[tuple[Formula, int | None]] = [(nodes[-1], None)]
     while todo:
         node, lemma = todo.pop()
         mine = own[node]
-        if lemma is None and (node, mine) in line:
+        if lemma is None and node in line:
             continue
         if isinstance(node, Atom):
-            line[node, mine] = _lem_flipped(b, node) if values[node.name] else _lem(b, node)
+            line[node] = _lem_flipped(b, node) if values[node.name] else _lem(b, node)
         elif isinstance(node, Not):
             x = node.child
             if lemma is None:
                 todo += ((node, _dni(b, x) if value[x] else 0), (x, None))
             else:  # a false child's signed form is this very formula
-                arg = line[x, mine]
-                line[node, mine] = b.mp(_lift_under(b, mine, lemma), arg) if lemma else arg
+                arg = line[x]
+                line[node] = b.mp(_lift_under(b, mine, lemma), arg) if lemma else arg
         else:
             assert isinstance(node, Bin) and node.op is _OR
             g, h = node.left, node.right
@@ -456,33 +456,44 @@ def _derive_branch(
                     todo += ((node, 0), (h, None), (g, None))
             elif lemma:
                 x = g if value[g] else h
-                arg = _widen(b, line[x, own[x]], own[x], mine)
-                line[node, mine] = b.mp(_lift_under(b, mine, lemma), arg)
+                arg = _widen(b, line[x], own[x], mine)
+                line[node] = b.mp(_lift_under(b, mine, lemma), arg)
             else:  # widen h first, so that _guarded_mp unfolds the newest line
-                arg = _widen(b, line[h, own[h]], own[h], mine)
+                arg = _widen(b, line[h], own[h], mine)
                 intro = _nor_intro(b, g, h)
-                g_arg = _widen(b, line[g, own[g]], own[g], mine)
+                g_arg = _widen(b, line[g], own[g], mine)
                 curried = b.mp(_lift_under(b, mine, intro), g_arg)
-                line[node, mine] = _guarded_mp(b, mine, curried, arg, Not(h), Not(node))
-    return line[nodes[-1], own[nodes[-1]]]
+                line[node] = _guarded_mp(b, mine, curried, arg, Not(h), Not(node))
+    return line[nodes[-1]]
 
 
 def _case_split(
-    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int], line: dict
+    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int]
 ) -> int:
     """D = nest(guards(values), f0), by splitting on each atom ``values``
     leaves open.  The branches on the next atom q are !q or D and q or D;
     the first folds into q imp D, which resolves the second to D or D.
     Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
     if len(values) == len(atom_names):
-        return _derive_branch(b, nodes, atom_names, values, line)
+        return _derive_branch(b, nodes, atom_names, values)
     name = atom_names[len(values)]
-    on = _case_split(b, nodes, atom_names, {**values, name: 1}, line)  # !q or D
+    on = _case_split(b, nodes, atom_names, {**values, name: 1})  # !q or D
     bridge = _fold_imp_root(b, on)  # q imp D, folded while on is the last line
-    off = _case_split(b, nodes, atom_names, {**values, name: 0}, line)  # q or D
+    off = _case_split(b, nodes, atom_names, {**values, name: 0})  # q or D
     d = b.formula_at(bridge).right
     doubled = _cases(b, bridge, off)  # D or D
     return b.mp(b.axiom(1, A=d), doubled)
+
+
+def _by_cases(b: _Builder, f0: Formula) -> int:
+    """f0 by the case split; raises TooManyAtoms past GENERATOR_ATOM_LIMIT,
+    else NotATautology.  f0 has the goal's atoms, in order, and truth table."""
+    names = atoms_of(f0)
+    if len(names) > GENERATOR_ATOM_LIMIT:
+        raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
+    if (row := first_row(f0, 0)) is not None:
+        raise NotATautology(row)
+    return _case_split(b, subformulas(f0), names, {})
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +676,7 @@ def _clause_route(b: _Builder, f0: Formula) -> int | None:
             to_f0[node] = step if to_f0[up] is None else _syl(b, step, to_f0[up])
     flipped = _cases(b, to_f0[neg.child], _lem(b, neg.child))  # !X or f0
     doubled = _cases(b, to_f0[neg], flipped)  # f0 or f0
-    idx = b.mp(b.axiom(1, A=f0), doubled)
-    b.cut(idx)  # f0 may be an older line: end there, so the fold-back copies none
-    return idx
+    return b.mp(b.axiom(1, A=f0), doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -693,24 +702,18 @@ def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
     return g, steps
 
 
-def _prove(f: Formula, *routes) -> Proof:
-    """A proof of ``f`` by the first of ``routes`` that applies, each tried on
-    the primitive goal f0, else by Kalmár's case split; then f0 is folded
-    back into ``f``."""
+def _prove(f: Formula, *methods) -> Proof:
+    """A proof of ``f`` by the first of ``methods`` whose method(b, f0) gives
+    a line of the primitive goal f0, not None; then f0 is folded back."""
     f0, steps = _unfold_plan(f)
     b = _Builder()
-    for route in routes:
-        idx = route(b, f0)
+    for method in methods:
+        idx = method(b, f0)
         if idx is not None:
             break
     else:
-        names = atoms_of(f)
-        if len(names) > GENERATOR_ATOM_LIMIT:
-            raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
-        row = first_row(f, 0)
-        if row is not None:
-            raise NotATautology(row)
-        idx = _case_split(b, subformulas(f0), names, {}, {})
+        raise ValueError(f"no method given proves {f!r}")
+    b.cut(idx)  # so the fold-back starts on the last line and copies none
     for op, path in reversed(steps):
         idx = _def_step(b, idx, op, path, Direction.FOLD)
     return Proof(goal=f, lines=b.lines[:idx])  # an older goal line ends the proof
@@ -720,14 +723,14 @@ def prove_tautology(f: Formula) -> Proof:
     """A checkable proof of ``f`` by the rewrite route, else the clause route,
     else the case split; raises NotATautology with a countermodel, and
     TooManyAtoms past GENERATOR_ATOM_LIMIT where neither route applies."""
-    return _prove(f, _rewrite_route, _clause_route)
+    return _prove(f, _rewrite_route, _clause_route, _by_cases)
 
 
 def prove_by_cases(f: Formula) -> Proof:
     """A checkable proof of ``f`` by Kalmár's case split alone, whatever its
     shape; raises NotATautology with a countermodel, and TooManyAtoms past
     GENERATOR_ATOM_LIMIT."""
-    return _prove(f)
+    return _prove(f, _by_cases)
 
 
 def regrouping_goals(n: int) -> list[Formula]:

@@ -19,6 +19,7 @@ from plogic.proof import (
     prove_tautology,
     regrouping_goals,
 )
+from plogic.proof.prover import _clause_route, _prove, _rewrite_route
 
 from oracle import bit_is_tautology, random_formula
 from goldens import B_TEXTS, M_TEXTS
@@ -111,10 +112,23 @@ def test_random_tautology_corpus_is_accepted(rng):
     )
 
 
+def test_a_case_split_ends_on_an_older_goal_line():
+    """By cases, the primitive goal !q or (!!(!(p or q) or !r) or q) is
+    already the !X or Z line of an early _add_right, which the split's last
+    MP finds in the memo.  The proof ends there and folds back from it, with
+    no copy: it is the clause route's proof, and no formula repeats."""
+    goal = parse("q imp (((p nor q) nor !r) imp q)")
+    proof = prove_by_cases(goal)
+    assert check_proof(proof).accepted
+    assert proof == prove_tautology(goal)
+    formulas = [line.formula for line in proof.lines]
+    assert len(formulas) == len(set(formulas)) == 17
+
+
 def test_the_one_copied_line_is_accepted(monkeypatch):
-    """By cases, the fold-back of this goal starts on an older line, the
-    !X or Z line of an earlier _add_right, so _def_step copies it once: the
-    only formula that repeats in the proof."""
+    """On the rewrite route, _dne's _lem_flipped finds the line it would
+    unfold, (q or q) imp (q or q), already written as an AX3 instance, so
+    _def_step copies it once: the only formula that repeats in the proof."""
     copies = []
     real_copy = plogic.proof.prover._copy
 
@@ -123,9 +137,11 @@ def test_the_one_copied_line_is_accepted(monkeypatch):
         return real_copy(b, idx)
 
     monkeypatch.setattr(plogic.proof.prover, "_copy", counted)
-    proof = prove_by_cases(parse("q imp (((p nor q) nor !r) imp q)"))
+    proof = prove_tautology(parse(
+        "!(p imp (!(q or q) imp !(q or s))) iff !!!!!(p imp !!(!(q or q) imp !(q or s)))"
+    ))
     assert check_proof(proof).accepted
-    assert (len(proof.lines), len(copies)) == (308, 1)
+    assert (len(proof.lines), len(copies)) == (510, 1)
     formulas = [line.formula for line in proof.lines]
     assert len(formulas) - len(set(formulas)) == 1
 
@@ -239,8 +255,8 @@ def test_main_result_proofs_are_pinned():
 
 def test_no_line_repeats_an_earlier_formula():
     """A generated proof never copies a line: each formula is new."""
-    texts = ["!" * 1100 + "(p or !p)", "p or !p", "p imp p", *DEFINED_CONNECTIVE_GOALS,
-             FOUR_ATOM_GOAL, *DUALITY_IDENTITIES]
+    texts = ["!" * 1100 + "(p or !p)", "p or !p", "p imp p", "q imp (q iff q)",
+             *DEFINED_CONNECTIVE_GOALS, FOUR_ATOM_GOAL, *DUALITY_IDENTITIES]
     for proof in prove_main_results() + [prove_tautology(parse(t)) for t in texts]:
         formulas = [line.formula for line in proof.lines]
         assert len(set(formulas)) == len(formulas), proof.goal
@@ -254,16 +270,6 @@ DUALITY_IDENTITIES = [
     "(q imp !p) iff !(q nimp !p)",
     "!(!p xor !q) iff (!p iff !q)",
 ]
-
-
-@pytest.fixture
-def no_case_split(monkeypatch):
-    """Fail any proof that falls back to Kalmar's case split."""
-
-    def refuse(*args):
-        raise AssertionError("the goal went to the case split")
-
-    monkeypatch.setattr(plogic.proof.prover, "_case_split", refuse)
 
 
 def _accepted_without_repeats(proof):
@@ -283,13 +289,13 @@ def test_regrouping_goals_at_three_operands_are_main_results_a_and_b():
         regrouping_goals(1)
 
 
-def test_regrouping_family_proves_by_the_rewrite_route(no_case_split):
+def test_regrouping_family_proves_by_the_rewrite_route():
     """Up to 16 operands, past GENERATOR_ATOM_LIMIT.  Rotating each or-chain
     at its root keeps the proofs linear in n: each operand adds the same
     number of lines, and n = 16 stays under 6,000."""
     sizes = []
     for n in range(3, 17):
-        proofs = [prove_tautology(goal) for goal in regrouping_goals(n)]
+        proofs = [_prove(goal, _rewrite_route) for goal in regrouping_goals(n)]
         for proof in proofs:
             _accepted_without_repeats(proof)
         sizes.append([len(proof.lines) for proof in proofs])
@@ -298,11 +304,11 @@ def test_regrouping_family_proves_by_the_rewrite_route(no_case_split):
         assert column[-1] <= 6000
 
 
-def test_every_line_of_a_rewrite_route_proof_is_a_tautology(no_case_split):
+def test_every_line_of_a_rewrite_route_proof_is_a_tautology():
     goals = (regrouping_goals(3) + regrouping_goals(4) + main_result_goals()[2:]
              + [parse(t) for t in DUALITY_IDENTITIES])
     for goal in goals:
-        proof = prove_tautology(goal)
+        proof = _prove(goal, _rewrite_route)
         _accepted_without_repeats(proof)
         assert all(bit_is_tautology(line.formula) for line in proof.lines), goal
 
@@ -312,8 +318,8 @@ def test_a_goal_whose_sides_differ_in_normal_form_falls_back_to_the_case_split()
     assert len(prove_tautology(parse(FOUR_ATOM_GOAL)).lines) == 6393
 
 
-def test_a_deep_double_negation_chain_takes_the_route(no_case_split):
-    _accepted_without_repeats(prove_tautology(parse("(" + "!" * 400 + "p) iff p")))
+def test_a_deep_double_negation_chain_takes_the_route():
+    _accepted_without_repeats(_prove(parse("(" + "!" * 400 + "p) iff p"), _rewrite_route))
 
 
 # (x, u, v) for _dist: atoms, the operands of main results (c) and (d), and
@@ -384,14 +390,13 @@ def test_proofs_off_the_distribution_step_are_pinned():
     assert found == UNMOVED_PROOFS
 
 
-def test_a_distribution_off_the_root_goes_to_the_case_split(monkeypatch):
+def test_a_distribution_off_the_root_goes_to_the_case_split():
     """The route writes no line before it gives up: the proof is the one
-    the case split makes with the route switched off."""
+    the case split makes alone."""
     goals = [parse(t) for t in CASE_SPLIT_DISTRIBUTIONS]
     assert all(bit_is_tautology(g) for g in goals)
     routed = [proof_to_text(prove_tautology(g)) for g in goals]
-    monkeypatch.setattr(plogic.proof.prover, "_rewrite_route", lambda b, f0: None)
-    assert routed == [proof_to_text(prove_tautology(g)) for g in goals]
+    assert routed == [proof_to_text(prove_by_cases(g)) for g in goals]
 
 
 # The clause route: a goal whose disjunct spine (the operands of each
@@ -448,7 +453,7 @@ def _clause_bound(n):
 
 @pytest.mark.parametrize("place", PAIR_PLACES)
 @pytest.mark.parametrize("shape", ["left", "right", "seeded"])
-def test_or_chains_take_the_clause_route(no_case_split, shape, place):
+def test_or_chains_take_the_clause_route(shape, place):
     """Up to 100 operands, past GENERATOR_ATOM_LIMIT.  From n = 4 on, a comb
     grows by the same number of lines per operand where the pair sits at
     its ends; every proof stays within _clause_bound.  For n <= 6 the oracle
@@ -457,7 +462,7 @@ def test_or_chains_take_the_clause_route(no_case_split, shape, place):
     sizes = []
     for n in CLAUSE_SIZES:
         goal = _bracket(_clause_operands(n, place), shape, OR_SPELLINGS["or"], rng)
-        proof = prove_tautology(goal)
+        proof = _prove(goal, _clause_route)
         _accepted_without_repeats(proof)
         assert len(proof.lines) <= _clause_bound(n), (n, len(proof.lines))
         if n <= 6:
@@ -470,7 +475,7 @@ def test_or_chains_take_the_clause_route(no_case_split, shape, place):
 
 
 @pytest.mark.parametrize("spelling", [s for s in OR_SPELLINGS if s != "or"])
-def test_clauses_spelled_with_defined_connectives_take_the_clause_route(no_case_split, spelling):
+def test_clauses_spelled_with_defined_connectives_take_the_clause_route(spelling):
     """Every disjunction spelled with one connective, or (seeded) each with
     one of them all, up to 25 operands: unfolding and folding back a comb of
     defined connectives takes time quadratic in its depth.  For n <= 6 the
@@ -485,7 +490,7 @@ def test_clauses_spelled_with_defined_connectives_take_the_clause_route(no_case_
         for place in PAIR_PLACES:
             for shape, spell in (("left", join), ("right", join), ("seeded", mixed)):
                 goal = _bracket(_clause_operands(n, place), shape, spell, rng)
-                proof = prove_tautology(goal)
+                proof = _prove(goal, _clause_route)
                 _accepted_without_repeats(proof)
                 assert len(proof.lines) <= _clause_bound(n), (goal, len(proof.lines))
                 if n <= 6:
@@ -493,7 +498,7 @@ def test_clauses_spelled_with_defined_connectives_take_the_clause_route(no_case_
 
 
 @pytest.mark.parametrize("width", [11, 24])
-def test_a_clause_past_the_atom_limit_proves(no_case_split, width):
+def test_a_clause_past_the_atom_limit_proves(width):
     """A clause over 11 and 24 atoms, its pair !!x and !x in the middle,
     each disjunction spelled with a seeded choice of connective."""
     from plogic.proof import GENERATOR_ATOM_LIMIT
@@ -505,7 +510,7 @@ def test_a_clause_past_the_atom_limit_proves(no_case_split, width):
     goal = _bracket(operands, "seeded",
                     lambda a, b: OR_SPELLINGS[rng.choice(list(OR_SPELLINGS))](a, b), rng)
     assert len(atoms_of(goal)) == width > GENERATOR_ATOM_LIMIT
-    _accepted_without_repeats(prove_tautology(goal))
+    _accepted_without_repeats(_prove(goal, _clause_route))
 
 
 NO_PAIR_CLAUSES = [
@@ -516,12 +521,19 @@ NO_PAIR_CLAUSES = [
 ]
 
 
-def test_a_goal_with_no_pair_on_its_spine_takes_the_case_split(monkeypatch):
+def test_a_goal_that_no_given_method_takes_is_refused():
+    """_prove does not fall back to the case split: the methods it is given
+    are the only ones it tries."""
+    with pytest.raises(ValueError, match="^no method given proves"):
+        _prove(parse("p or !p"), _rewrite_route)
+    with pytest.raises(ValueError, match="^no method given proves"):
+        _prove(parse(FOUR_ATOM_GOAL), _rewrite_route, _clause_route)
+
+
+def test_a_goal_with_no_pair_on_its_spine_takes_the_case_split():
     """The clause route writes no line before it gives up: the proof is the
-    one made with the route switched off."""
+    one the case split makes alone."""
     goals = [parse(t) for t in NO_PAIR_CLAUSES]
     assert all(bit_is_tautology(g) for g in goals)
     routed = [proof_to_text(prove_tautology(g)) for g in goals]
-    monkeypatch.setattr(plogic.proof.prover, "_clause_route", lambda b, f0: None)
-    assert routed == [proof_to_text(prove_tautology(g)) for g in goals]
     assert routed == [proof_to_text(prove_by_cases(g)) for g in goals]
