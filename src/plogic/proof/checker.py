@@ -119,7 +119,8 @@ class Judge:
     that replay instead of making another."""
 
     def __init__(self):
-        # The index, formula and justification of each line taken, as taken.
+        # The formula of each line taken, and the index and justification of
+        # each up to the first rejection, as taken.
         self.indices: list[int] = []
         self.formulas: list[Formula] = []
         self.justs: list[Justification] = []
@@ -139,6 +140,8 @@ class Judge:
         formulas = self.formulas
         k = len(formulas) + 1
         if self.rejection is None:
+            self.indices.append(index)
+            self.justs.append(just)
             if index != k:
                 self.rejection = CheckResult(
                     False, k, BAD_LINE_INDEX, f"expected index {k}, found {index}"
@@ -151,14 +154,12 @@ class Judge:
                     reason, detail = next(v for t, v in _MISMATCH.items() if isinstance(just, t))
                     self.rejection = CheckResult(False, k, reason, detail.format(just))
         self._derived_for = self._derived = None
-        self.indices.append(index)
         formulas.append(formula)
-        self.justs.append(just)
 
     def judged(self, lines: Sequence[ProofLine]) -> bool:
-        """Whether ``lines`` hold, in order, the index, formula and
-        justification objects of the lines taken, on which alone the
-        verdict depends."""
+        """Whether ``lines`` hold, in order, the formula objects of the lines
+        taken, and the index and justification objects of those up to the
+        first rejection, on which alone the verdict depends."""
         return (
             len(lines) == len(self.formulas)
             and all(map(is_, map(_INDEX, lines), self.indices))

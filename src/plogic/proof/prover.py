@@ -24,11 +24,13 @@ q1 ... qn in order, and f0 is the goal rewritten into the primitive not/or
 language.  Within a branch, the usual induction over subformulas runs
 underneath the guard literals, lifted by the sum axiom; as in Kalmár's
 lemma, each subformula has only its own atoms' guards.  The case split
-fixes q1 first and qn last, so two branches that differ only in qn differ
-only in their outermost guard, and resolving qn against !qn merges them;
-this repeats, newest atom first, until no guards remain.  _prove tries
-the methods in turn; the f0 line that the first one gives ends the proof,
-old or new, and DEF lines fold it back into the goal.
+is one loop over the truth table's rows, q1 changing slowest and qn
+fastest, so two rows in turn that differ only in qn give branches that
+differ only in their outermost guard, and resolving qn against !qn merges
+them; each merged clause is resolved in turn against its partner on the
+atom before, until no guards remain.  _prove tries the methods in turn;
+the f0 line that the first one gives ends the proof, old or new, and DEF
+lines fold it back into the goal.
 
 Every derived inference is expanded on the spot into AX1..AX4, MP and
 single DEF steps.  A theorem already on some line is reused by reference,
@@ -52,8 +54,7 @@ from ..formula import (
     replace_at,
     subformulas,
 )
-# assignments stays bound for perfbench/spans.py, which wraps it
-from ..semantics import _fill_columns, assignments, first_row  # noqa: F401
+from ..semantics import _fill_columns, assignments, first_row
 from .axioms import axiom_instance, major_parts
 from .objects import (
     DefJust,
@@ -399,12 +400,7 @@ def _guarded_mp(
 # Branches and case elimination.
 
 
-def _derive_branch(
-    b: _Builder,
-    nodes: list[Formula],
-    atom_names: list[str],
-    values: dict[str, int],
-) -> int:
+def _derive_branch(b: _Builder, nodes: list[Formula], values: dict[str, int]) -> int:
     """nest(guards(v), f0) for the full assignment v (a true branch), where
     f0 is the last of ``nodes``, its subformulas in ``subformulas`` order.
 
@@ -417,7 +413,7 @@ def _derive_branch(
     """
     # newest atom first: the last atom's literal is outermost, so the case
     # split on it finds it in front
-    guards = tuple(Not(Atom(n)) if values[n] else Atom(n) for n in reversed(atom_names))
+    guards = tuple(Not(Atom(n)) if v else Atom(n) for n, v in reversed(values.items()))
     value = _fill_columns(nodes, values, 1)
     own: dict[Formula, tuple[Formula, ...]] = {}
     for node in nodes:
@@ -467,33 +463,31 @@ def _derive_branch(
     return line[nodes[-1]]
 
 
-def _case_split(
-    b: _Builder, nodes: list[Formula], atom_names: list[str], values: dict[str, int]
-) -> int:
-    """D = nest(guards(values), f0), by splitting on each atom ``values``
-    leaves open.  The branches on the next atom q are !q or D and q or D;
-    the first folds into q imp D, which resolves the second to D or D.
-    Recursion depth is the atom count, at most GENERATOR_ATOM_LIMIT."""
-    if len(values) == len(atom_names):
-        return _derive_branch(b, nodes, atom_names, values)
-    name = atom_names[len(values)]
-    on = _case_split(b, nodes, atom_names, {**values, name: 1})  # !q or D
-    bridge = _fold_imp_root(b, on)  # q imp D, folded while on is the last line
-    off = _case_split(b, nodes, atom_names, {**values, name: 0})  # q or D
-    d = b.formula_at(bridge).right
-    doubled = _cases(b, bridge, off)  # D or D
-    return b.mp(b.axiom(1, A=d), doubled)
-
-
 def _by_cases(b: _Builder, f0: Formula) -> int:
     """f0 by the case split; raises TooManyAtoms past GENERATOR_ATOM_LIMIT,
-    else NotATautology.  f0 has the goal's atoms, in order, and truth table."""
+    else NotATautology.  f0 has the goal's atoms, in order, and truth table.
+
+    One loop over the table's rows, the last atom changing fastest.  A
+    row's branch is a half of the split on its last atom q: at q = 1 the on
+    half !q or D, which folds into the bridge q imp D and waits; at q = 0
+    the off half q or D, which the newest bridge resolves to D or D, and
+    AX1 to D, itself a half of the split on the atom before q."""
     names = atoms_of(f0)
     if len(names) > GENERATOR_ATOM_LIMIT:
         raise TooManyAtoms(len(names), GENERATOR_ATOM_LIMIT)
     if (row := first_row(f0, 0)) is not None:
         raise NotATautology(row)
-    return _case_split(b, subformulas(f0), names, {})
+    nodes, bridges = subformulas(f0), []
+    for values in assignments(names):
+        idx = _derive_branch(b, nodes, values)
+        for value in reversed(values.values()):
+            if value:  # folded while the on half is the last line
+                bridges.append(_fold_imp_root(b, idx))
+                break
+            bridge = bridges.pop()
+            doubled = _cases(b, bridge, idx)  # D or D
+            idx = b.mp(b.axiom(1, A=b.formula_at(bridge).right), doubled)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +667,7 @@ def _clause_route(b: _Builder, f0: Formula) -> int | None:
                 step = b.axiom(2, A=node, B=up.right)
             else:
                 step = _add_right(b, node, up.left)
-            to_f0[node] = step if to_f0[up] is None else _syl(b, step, to_f0[up])
+            to_f0[node] = _chain(b, [step, to_f0[up]])
     flipped = _cases(b, to_f0[neg.child], _lem(b, neg.child))  # !X or f0
     doubled = _cases(b, to_f0[neg], flipped)  # f0 or f0
     return b.mp(b.axiom(1, A=f0), doubled)

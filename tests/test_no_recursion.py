@@ -1,13 +1,12 @@
 """No function in the library calls itself, so no formula operation has a
-nesting limit.  The prover's case split is the one exception: it recurses
-once per atom, and GENERATOR_ATOM_LIMIT bounds the atoms."""
+nesting limit.  There is no exception."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "plogic"
 
-ALLOWED = {("proof/prover.py", "_case_split")}
+ALLOWED = set()
 
 
 def _self_calls(tree: ast.AST) -> set[str]:

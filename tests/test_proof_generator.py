@@ -379,6 +379,10 @@ UNMOVED_PROOFS = {
     CASE_SPLIT_DISTRIBUTIONS[1]: (
         10834, "8859b9612d35acdcaf04455871bed2404624880eed18b042e335016d83c29799"
     ),
+    # no route takes a reversed or-chain: a 5-atom case split
+    "(x1 or (x2 or (x3 or (x4 or x5)))) iff (x5 or (x4 or (x3 or (x2 or x1))))": (
+        13185, "615ef99c0f8a9ac0b9294c7c53f9458ddbe4ed08a2dccb2722defd0884b76b13"
+    ),
 }
 
 

@@ -610,3 +610,25 @@ def test_an_edited_loaded_proof_is_judged_afresh(edit, reason):
     verdict = check_proof(loaded)
     assert (verdict.accepted, verdict.reason) == (False, reason)
     assert verdict == _fresh_verdict(loaded)
+
+
+@pytest.mark.parametrize("attr", ["just", "index", "formula"])
+@pytest.mark.parametrize("where", ["rejected", "after"])
+def test_an_edited_rejected_proof_gets_the_verdict_of_a_fresh_check(where, attr):
+    """An in-place edit of the rejected line changes the verdict, and the
+    load's Judge gives way to a fresh one.  An edit of a later line leaves
+    the verdict, and the load's Judge keeps it unless the edit is of a
+    formula, which the Judge keeps for every line."""
+    lines = list(FUZZ_PROOF.lines)
+    _replace_line(lines)
+    loaded = load_proof(proof_to_text(Proof(FUZZ_PROOF.goal, lines)))
+    before = check_proof(loaded)
+    assert (before.line, before.reason) == (_AX + 1, "NotAnAxiomInstance")
+    assert len(lines) - 1 > _AX  # the last line comes after the rejected one
+    k = _AX if where == "rejected" else len(lines) - 1
+    value = {"just": MPJust(999, 1), "index": 0, "formula": FUZZ_PROOF.lines[_AX].formula}
+    setattr(loaded.lines[k], attr, value[attr])
+    assert loaded.judge.judged(loaded.lines) == (where == "after" and attr != "formula")
+    verdict = check_proof(loaded)
+    assert (verdict == before) == (where == "after")
+    assert verdict == _fresh_verdict(loaded)
