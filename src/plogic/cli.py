@@ -109,28 +109,37 @@ def _stamp(template: str, digits: list[str]) -> str:
 def _write_table_json(formula: str, scan: TableScan, labels: list[str]) -> None:
     """Write the table as ``json.dumps(payload, indent=2)`` and a newline
     would, the rows a block at a time.  The columns come after the rows,
-    so their digits are kept, one byte per cell."""
+    so their digits are kept, one string per block per column (one byte
+    per cell), and each value list is written a block at a time too."""
     write, dumps = sys.stdout.write, json.dumps
     atoms = ",".join(f"\n    {dumps(name)}" for name in scan.atom_order)
     write(f'{{\n  "formula": {dumps(formula)},\n  "atoms": [{atoms}\n  ],\n  "rows": [')
     cells = ",".join(f"\n      {dumps(name)}: {_MARK}" for name in scan.atom_order)
     row = f",\n    {{{cells}\n    }}"
-    kept = [bytearray() for _ in scan.paths]
+    kept: list[list[str]] = [[] for _ in scan.paths]
     comma = 1  # the first row has no comma before it
     for atom_digits, column_digits in scan.blocks:
         write(_stamp(row, atom_digits)[comma:])
         comma = 0
         for column, bits in zip(kept, column_digits):
-            column += bits.encode()
+            column.append(bits)
+
+    def write_values(column: list[str], indent: str) -> None:
+        item, comma = f",\n{indent}{_MARK}", 1  # the first value has no comma before it
+        for bits in column:
+            write(_stamp(item, [bits])[comma:])
+            comma = 0
+
     write('\n  ],\n  "columns": [')
     for i, (path, label, column) in enumerate(zip(scan.paths, labels, kept)):
         write(",\n    {" if i else "\n    {")
         write(f'\n      "path": {dumps(path_to_str(path))},\n      "label": {dumps(label)},')
-        write('\n      "values": [\n        ')
-        write(",\n        ".join(column.decode()))
+        write('\n      "values": [')
+        write_values(column, " " * 8)
         write("\n      ]\n    }")
-    final = ",\n    ".join(kept[scan.final_index].decode())
-    write(f'\n  ],\n  "final_index": {scan.final_index},\n  "final": [\n    {final}\n  ]\n}}\n')
+    write(f'\n  ],\n  "final_index": {scan.final_index},\n  "final": [')
+    write_values(kept[scan.final_index], " " * 4)
+    write("\n  ]\n}\n")
 
 
 def cmd_table(args) -> int:

@@ -267,6 +267,27 @@ def test_closed_output_pipe_exits_141_silently():
     assert (code, stderr) == (141, b"")
 
 
+def test_closed_output_pipe_inside_the_json_value_lists_exits_141_silently():
+    # the reader closes its end once the first column's values have begun,
+    # so the close lands while the value lists are being written
+    chain = "(a or (b or (c or (d or (e or (f or (g or (h or (i or (j or (k or m)))))))))))"
+    with subprocess.Popen(
+        [sys.executable, "-m", "plogic.cli", "table", "--json", chain],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        read = 0
+        for line in iter(proc.stdout.readline, b""):
+            if line == b'      "values": [\n':
+                break
+            read += 1
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert read > 4096 * 14  # every row, 14 lines each, was read before the close
+    assert (code, stderr) == (141, b"")
+
+
 @pytest.mark.slow
 def test_main_results_directory(tmp_path):
     outdir = tmp_path / "out"

@@ -1,7 +1,9 @@
 """`plogic table` and `table --json` write their rows a block at a time
-from the kernel's column digits.  Their bytes must stay those of the plain
-formatters kept here: a loop over the rows and cells of `truth_table`, and
-one `json.dumps(payload, indent=2)` of the whole table."""
+from the kernel's column digits; `--json` keeps those digits, one string
+per block per column, and writes each column's value list a block at a
+time too.  Their bytes must stay those of the plain formatters kept here:
+a loop over the rows and cells of `truth_table`, and one
+`json.dumps(payload, indent=2)` of the whole table."""
 
 import json
 import random
@@ -129,3 +131,35 @@ def test_a_20_atom_table_fits_in_bounded_memory(flags):
         preexec_fn=_limit_address_space,
     )
     assert (result.returncode, result.stderr) == (0, b"")
+
+
+# Runs the CLI with the arguments given and prints its peak resident set
+# in kB.  The CLI is a child of this small process, not of pytest: a forked
+# child starts from its parent's peak, which would hide its own.
+_PEAK_OF_CLI = (
+    "import resource, subprocess, sys\n"
+    "cli = [sys.executable, '-m', 'plogic.cli', *sys.argv[1:]]\n"
+    "subprocess.run(cli, stdout=subprocess.DEVNULL, check=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.mark.slow
+def test_the_json_writer_keeps_little_beyond_the_column_digits():
+    """`table --json` must keep each column's digits until the rows are
+    written, one byte per cell; what it holds on top of that, writing the
+    value lists, stays well under those digits."""
+    f = chain([f"a{i}" for i in range(20)])
+    kept_kb = len(table_labels(f)) * 2**20 // 1024  # 39 columns of 2^20 cells
+    peaks = []
+    for flags in [[], ["--json"]]:
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_OF_CLI, "table", *flags, render(f, Dialect.ASCII)],
+            capture_output=True,
+            preexec_fn=_limit_address_space,  # the CLI inherits the limit
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        peaks.append(int(result.stdout))
+    text_kb, json_kb = peaks
+    assert json_kb - text_kb <= 1.5 * kept_kb, (text_kb, json_kb, kept_kb)
