@@ -49,9 +49,15 @@ class Operator(enum.Enum):
 
     @property
     def op_class(self) -> OpClass:
-        if self in (Operator.OR, Operator.AND, Operator.IMP, Operator.IFF):
-            return OpClass.FO
-        return OpClass.NFO
+        return _OP_CLASS[self]
+
+
+# The family of each operator; xiff is classed with the negated one.
+_OP_CLASS = {
+    op: OpClass.FO if op in (Operator.OR, Operator.AND, Operator.IMP, Operator.IFF)
+    else OpClass.NFO
+    for op in Operator
+}
 
 
 _DUALS = {
@@ -275,7 +281,7 @@ def language_of(f: Formula) -> Language:
     Negation and grouping never affect the class; a formula without any
     binary connective is ATOMIC.
     """
-    classes = {node.op.op_class for node in subformulas(f) if isinstance(node, Bin)}
+    classes = {_OP_CLASS[node.op] for node in subformulas(f) if type(node) is Bin}
     if len(classes) == 2:
         return Language.MIXED
     if OpClass.FO in classes:

@@ -6,16 +6,22 @@ Two dialects share one grammar.  The unicode dialect uses the glyphs
 ``xor`` and ``xiff``.  Binary connectives have no precedence and no
 associativity: an unparenthesized ``a op b op c`` is rejected rather than
 grouped.  A single outermost pair of parentheses may be omitted.
+
+``parse`` splits a text into its tokens' spellings with one ``findall``
+and keeps no positions; a position is recovered, by scanning the text
+again, only for the error that reports it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 
 from .errors import (
     AmbiguousChain,
     EmptyInput,
+    ParseError,
     UnbalancedParens,
     UnexpectedToken,
     UnknownToken,
@@ -62,9 +68,9 @@ _TOKENS = {
 
 # Words are atoms unless reserved.  Symbols are tried longest first, so a
 # shorter spelling never shadows a longer one it prefixes.  Any other
-# non-space character is unknown.
+# non-space character is unknown.  The one group is a token's spelling.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<word>%s)|(?P<symbol>%s)|(?P<other>\S))"
+    r"\s*(%s|%s|\S)"
     % (
         ATOM_PATTERN,
         "|".join(
@@ -74,40 +80,45 @@ _TOKEN_RE = re.compile(
     )
 )
 
+_ATOM_START = re.compile(ATOM_PATTERN).match
 
-def _tokenize(text: str) -> list[tuple]:
-    """(meaning, spelling, position) per token, ending with (None, "", len(text))."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        spelling = m[kind]
-        pos = m.start(kind)
-        if kind == "other":
-            raise UnknownToken(f"unknown token {spelling!r} at position {pos}", pos)
-        if kind == "word" and spelling not in RESERVED_WORDS:
-            tokens.append((Atom(spelling), spelling, pos))
-        else:
-            tokens.append((_TOKENS[spelling], spelling, pos))
-    tokens.append((None, "", len(text)))
-    return tokens
+
+def _error(
+    error: type[ParseError], text: str, i: int, head: str, tail: str = ""
+) -> ParseError:
+    """``error`` at token ``i`` of ``text`` (at its end past the last token),
+    with the message ``head at position N tail``.  Only an error needs a
+    position, so only an error scans the text again for one."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    pos = len(text) if m is None else m.start(1)
+    return error(f"{head} at position {pos}{tail}", pos)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula in either dialect; whitespace is insignificant.
 
-    One pass over the tokens with an explicit stack, so nesting depth is
+    One ``findall`` splits the text into spellings; a spelling that is not
+    in ``_TOKENS`` is an atom, or, if it does not start with a letter, an
+    unknown character, which is reported before any grammar error.  Then
+    one pass over the spellings with an explicit stack, so nesting depth is
     bounded only by memory.  Each open parenthesis saves the enclosing
     expression's pending negations, left operand and operator.
     """
-    tokens = _tokenize(text)
-    if len(tokens) == 1:
+    spellings = _TOKEN_RE.findall(text)
+    unknown = {s for s in set(spellings).difference(_TOKENS) if not _ATOM_START(s)}
+    if unknown:
+        i = next(i for i, s in enumerate(spellings) if s in unknown)
+        raise _error(UnknownToken, text, i, f"unknown token {spellings[i]!r}")
+    if not spellings:
         raise EmptyInput("empty input")
+    spellings.append("")  # the end of the text, which is no token
     stack: list[tuple[int, Formula | None, Operator | None]] = []
     negations, left, op = 0, None, None
     i = 0
     while True:
         # expecting a unit: negations, then an atom or an open parenthesis
-        tok, spelling, pos = tokens[i]
+        spelling = spellings[i]
+        tok = _TOKENS.get(spelling)
         i += 1
         if tok is Not:
             negations += 1
@@ -116,41 +127,37 @@ def parse(text: str) -> Formula:
             stack.append((negations, left, op))
             negations, left, op = 0, None, None
             continue
-        if not isinstance(tok, Atom):
+        if tok is not None or not spelling:  # an operator, ')' or the end
             if tok == ")":
-                raise UnbalancedParens(f"unmatched ')' at position {pos}", pos)
-            raise UnexpectedToken(f"expected a formula at position {pos}", pos)
-        f: Formula = tok
+                raise _error(UnbalancedParens, text, i - 1, "unmatched ')'")
+            raise _error(UnexpectedToken, text, i - 1, "expected a formula")
+        f: Formula = Atom(spelling)
         while True:
             # f is a complete unit; finish the expression it ends, if any
             while negations:
                 f = Not(f)
                 negations -= 1
-            tok, spelling, pos = tokens[i]
+            spelling = spellings[i]
+            tok = _TOKENS.get(spelling)
             if isinstance(tok, Operator):
                 if op is not None:
-                    raise AmbiguousChain(
-                        f"operator chain is ambiguous at position {pos}; "
-                        "parenthesize one side",
-                        pos,
-                    )
+                    raise _error(AmbiguousChain, text, i, "operator chain is ambiguous",
+                                 "; parenthesize one side")
                 left, op = f, tok
                 i += 1
                 break
             if op is not None:
                 f = Bin(op, left, f)
             if not stack:
-                if tok is None:
+                if not spelling:
                     return f
                 if tok == ")":
-                    raise UnbalancedParens(f"unmatched ')' at position {pos}", pos)
-                raise UnexpectedToken(f"unexpected {spelling!r} at position {pos}", pos)
+                    raise _error(UnbalancedParens, text, i, "unmatched ')'")
+                raise _error(UnexpectedToken, text, i, f"unexpected {spelling!r}")
             if tok != ")":
-                if tok is None:
-                    raise UnbalancedParens(f"missing ')' at position {pos}", pos)
-                raise UnexpectedToken(
-                    f"expected ')' at position {pos}, found {spelling!r}", pos
-                )
+                if not spelling:
+                    raise _error(UnbalancedParens, text, i, "missing ')'")
+                raise _error(UnexpectedToken, text, i, "expected ')'", f", found {spelling!r}")
             i += 1
             negations, left, op = stack.pop()
 

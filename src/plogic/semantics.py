@@ -11,11 +11,13 @@ final analysis.
 Every semantic question, ``check``'s two witnesses and ``relate``'s two
 relations included, is answered by one scan over the table, a block of
 rows at a time, with each column of a block held as one int.  A block's
-columns are filled by one pass over the formula's distinct subformulas,
-children first.  ``table_blocks`` hands a table out block by block, each
-column of a block as a string of ``0``/``1`` digits in row order, so a
-caller can write a table of any size in bounded memory; ``truth_table``
-collects those blocks into one row dict and one int per cell.
+atom columns come from a table of masks built once, at import; its
+other columns are filled by one pass over the formula's distinct
+subformulas, children first.  ``table_blocks`` hands a table out block
+by block, each column of a block as a string of ``0``/``1`` digits in
+row order, so a caller can write a table of any size in bounded memory;
+``truth_table`` collects those blocks into one row dict and one int per
+cell.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ ATOM_LIMIT = 24
 
 # Rows per block of the scan, as a power of two.
 _BLOCK_BITS = 12
+
+# The column of the atom ``s`` places from the last over a whole block:
+# 2**s ones, then 2**s zeros, repeated.  A table of fewer rows takes the
+# low bits, as its pattern is the same from bit 0.
+_MASKS = [
+    ((1 << (1 << _BLOCK_BITS)) - 1) // ((1 << (1 << s)) + 1) for s in range(_BLOCK_BITS)
+]
 
 # Maps the digits of a column written in binary to bit values.
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -118,8 +127,7 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
     low = min(len(atoms), _BLOCK_BITS)
     full = (1 << (1 << low)) - 1
     shifts = list(enumerate(reversed(atoms)))
-    # the column of shift s: 2**s ones, then 2**s zeros, repeated
-    masks = {name: full // ((1 << (1 << s)) + 1) for s, name in shifts[:low]}
+    masks = {name: _MASKS[s] & full for s, name in shifts[:low]}
 
     def block(start: int) -> tuple[int, Assignment, int]:
         high = {name: full * ((~start >> s) & 1) for s, name in shifts[low:]}

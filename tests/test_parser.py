@@ -1,3 +1,6 @@
+import ast
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +13,9 @@ from plogic.errors import (
     UnexpectedToken,
     UnknownToken,
 )
+from plogic import parser
 from plogic.parser import TextMemo
+from plogic.proof import main_result_goals
 
 from test_formula import formulas
 
@@ -177,6 +182,64 @@ def test_arbitrary_text_parses_or_raises_a_parse_error(text):
         parse(text)
     except ParseError:
         pass
+
+
+# Every spelling of both dialects, atoms (reserved-word prefixes among them),
+# characters no token starts with, and whitespace of several kinds.
+_PIECES = [
+    "p", "q1", "orb", "Not", "(", ")", "!", "¬", "not",
+    "or", "and", "imp", "->", "iff", "<->", "nor", "nand", "nimp", "xor", "xiff",
+    "∨", "∧", "→", "↔", "↓", "↑", "←", "⊕", "↕",
+    "%", "é", "<", "_",
+]
+_SPACES = ["", " ", "  ", "\t", "\n", "\u3000"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_PIECES)), max_size=12),
+       st.sampled_from(_SPACES))
+def test_an_error_position_is_a_token_start_naming_its_spelling(pieces, tail):
+    """A token starts where a piece starts (pieces the lexer joins, as
+    ``p`` and ``or``, start where the first does); a spelling the message
+    quotes is found at the position; unknown characters win over grammar."""
+    text, starts = "", set()
+    for space, piece in pieces:
+        text += space
+        starts.add(len(text))
+        text += piece
+    text += tail
+    unknown = [
+        i for i, c in enumerate(text)
+        if c in "%é_" or (c == "<" and not text.startswith("<->", i))
+    ]
+    try:
+        parse(text)
+    except ParseError as exc:
+        error = exc
+    else:
+        assert not unknown
+        return
+    if unknown:
+        assert type(error) is UnknownToken and error.position == unknown[0]
+    if type(error) is EmptyInput:
+        assert error.position is None and not text.strip()
+        return
+    assert error.position == len(text) or error.position in starts
+    quoted = re.search(r"'(.*)'", str(error))
+    if quoted and error.position < len(text):
+        assert text.startswith(ast.literal_eval(quoted[0]), error.position)
+
+
+def test_a_valid_parse_computes_no_position(monkeypatch):
+    def no_position(*args):
+        raise AssertionError("a position was computed for a valid text")
+
+    monkeypatch.setattr(parser, "_error", no_position)
+    for goal in main_result_goals():
+        for dialect in Dialect:
+            assert parse(render(goal, dialect)) is goal
+    assert parse("!" * 3000 + "p") is parse("!" * 3000 + " p")
+    with pytest.raises(AssertionError):
+        parse("p q")
 
 
 # Deep inputs are compared as text: dataclass equality itself recurses.

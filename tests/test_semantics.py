@@ -28,7 +28,7 @@ from plogic import (
 from plogic.cli import main as cli_main
 from plogic.errors import MissingAtom, TooManyAtoms
 from plogic.formula import subformula_at
-from plogic.semantics import TRUTH, assignments, first_row, first_rows
+from plogic.semantics import TRUTH, _blocks, assignments, first_row, first_rows
 
 from oracle import TABLES, bit_columns, bit_eval, oracle_assignments, oracle_eval, random_formula
 from goldens import A_TEXTS, B_TEXTS, load_golden
@@ -331,6 +331,18 @@ class TestMultiBlock:
         assert verdict.witness == dict.fromkeys(names, 0)
         verdict = is_perpendicular(left, Bin(Operator.AND, left, Not(left)))
         assert verdict.witness == dict.fromkeys(names, 0)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_the_first_block_gives_each_atom_the_oracle_column(self, n):
+        """Up to 12 atoms the block is the whole table, cut from the 4,096-row
+        masks; past 12 the first atoms are constant in it."""
+        names = _names(n)
+        rows = list(itertools.islice(oracle_assignments(names), 4096))
+        start, cols, full = next(_blocks(names))
+        assert (start, full) == (0, (1 << len(rows)) - 1)
+        assert cols == {
+            name: sum(env[name] << i for i, env in enumerate(rows)) for name in names
+        }
 
     def test_thirteen_atom_table_matches_the_oracle(self, rng):
         names = _names(13)
