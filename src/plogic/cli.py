@@ -18,7 +18,7 @@ from functools import cache
 from pathlib import Path as FsPath
 
 from .errors import LogicError, ParseError
-from .formula import Formula, Language, language_of, atoms_of, path_to_str
+from .formula import Formula, Language, language_of, atoms_of, path_to_str, subformulas
 from .parser import Dialect, parse, render
 # assignments, evaluate, is_parallel, is_perpendicular and truth_table stay
 # bound for perfbench/spans.py, which wraps them
@@ -42,7 +42,7 @@ from .transforms import (
     upsilon_encrypt,
 )
 from .proof import check_proof, load_proof, proof_to_json, proof_to_text
-from .proof.io import trace_from_json, trace_to_dict
+from .proof.io import to_json, trace_from_json, trace_to_dict
 from .proof.prover import prove_main_results, prove_tautology
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def _dialect(args) -> Dialect:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    sys.stdout.write(to_json(payload) + "\n")
 
 
 def cmd_parse(args) -> int:
@@ -185,7 +185,8 @@ def cmd_check(args) -> int:
 def cmd_relate(args) -> int:
     a = _read_formula_arg(args.a)
     b = _read_formula_arg(args.b)
-    lang_a, lang_b = language_of(a), language_of(b)
+    na, nb = subformulas(a), subformulas(b)
+    lang_a, lang_b = language_of(a, na), language_of(b, nb)
     if lang_a is not Language.FO_ONLY or lang_b is not Language.NFO_ONLY:
         print(
             "warning: relations are usually taken between a fundamental-only "
@@ -193,7 +194,7 @@ def cmd_relate(args) -> int:
             f"{lang_a.value} / {lang_b.value}",
             file=sys.stderr,
         )
-    par, perp = relate(a, b)
+    par, perp = relate(a, b, na, nb)
     payload: dict = {"parallel": par.holds, "perpendicular": perp.holds}
     if par.witness is not None:
         payload["parallel_witness"] = par.witness
@@ -218,9 +219,7 @@ def cmd_transform(args) -> int:
         result, trace = upsilon_encrypt(f)
         trace_out = trace_to_dict(trace)
         if args.trace:
-            FsPath(args.trace).write_text(
-                json.dumps(trace_out, indent=2) + "\n", encoding="utf-8"
-            )
+            FsPath(args.trace).write_text(to_json(trace_out) + "\n", encoding="utf-8")
     elif args.rule == "upsilon-inv":
         result = upsilon_decrypt(f, trace_from_json(_read_text(args.trace)))
     elif args.rule == "psi":

@@ -275,13 +275,16 @@ def _rebuild(entries: list) -> Formula:
     return nodes[-1]
 
 
-def language_of(f: Formula) -> Language:
+def language_of(f: Formula, nodes: list[Formula] | None = None) -> Language:
     """Classify ``f`` by the family of its binary connectives.
 
     Negation and grouping never affect the class; a formula without any
-    binary connective is ATOMIC.
+    binary connective is ATOMIC.  ``nodes``, when given, is
+    ``subformulas(f)``, so ``f`` is not walked.
     """
-    classes = {_OP_CLASS[node.op] for node in subformulas(f) if type(node) is Bin}
+    if nodes is None:
+        nodes = subformulas(f)
+    classes = {_OP_CLASS[node.op] for node in nodes if type(node) is Bin}
     if len(classes) == 2:
         return Language.MIXED
     if OpClass.FO in classes:

@@ -306,7 +306,53 @@ _quote = json.encoder.encode_basestring_ascii  # the C encoder's string writer
 
 
 def _scalar(value) -> str:
-    return _quote(value) if type(value) is str else int.__repr__(value)
+    """A JSON value that holds no other, as ``json.dumps`` writes it."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)  # true, false, null or a float
+
+
+def to_json(data) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, for ``data`` built of
+    dicts keyed by strings, lists, strings, ints, bools and None.
+
+    An indented ``json.dumps`` runs the pure-Python encoder; here each
+    string goes through the C one, and only the 2-space layout is Python.
+    One loop over a stack of open containers, so any depth is written
+    without recursion.
+    """
+    out: list[str] = []
+    # per open container: its members as (text before, value), the newline
+    # and indent its members start with, and the text that closes it
+    stack = [(iter([("", data)]), "\n", "")]
+    while stack:
+        members, indent, close = stack[-1]
+        for head, value in members:
+            out.append(head)
+            kind = type(value)
+            if kind is not dict and kind is not list:
+                out.append(_scalar(value))
+            elif not value:
+                out.append("{}" if kind is dict else "[]")
+            else:
+                inner = indent + "  "
+                lead = "," + inner
+                if kind is dict:
+                    heads = [lead + _quote(key) + ": " for key in value]
+                    out.append("{")
+                    stack.append((zip(heads, value.values()), inner, indent + "}"))
+                else:
+                    heads = [lead] * len(value)
+                    out.append("[")
+                    stack.append((zip(heads, value), inner, indent + "]"))
+                heads[0] = heads[0][1:]  # no comma before the first member
+                break
+        else:
+            stack.pop()
+            out.append(close)
+    return "".join(out)
 
 
 def proof_to_json(proof: Proof) -> str:

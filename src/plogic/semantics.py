@@ -13,11 +13,17 @@ relations included, is answered by one scan over the table, a block of
 rows at a time, with each column of a block held as one int.  A block's
 atom columns come from a table of masks built once, at import; its
 other columns are filled by one pass over the formula's distinct
-subformulas, children first.  ``table_blocks`` hands a table out block
-by block, each column of a block as a string of ``0``/``1`` digits in
-row order, so a caller can write a table of any size in bounded memory;
-``truth_table`` collects those blocks into one row dict and one int per
-cell.
+subformulas, children first, each connective applied through a kernel
+table built at import from ``TRUTH``, the one table of the connectives'
+meanings: it maps each operator to the bitwise form of its truth vector
+(``x | y`` for ``or``, ``full ^ (x & y)`` for ``nand``, and so on), and
+an operator whose vector has no such form fails the import.  ``relate``
+reads the subformulas of ``a xor b`` off those of its two operands,
+which a caller that has walked them passes in.  ``table_blocks`` hands
+a table out block by block, each column of a block as a string of
+``0``/``1`` digits in row order, so a caller can write a table of any
+size in bounded memory; ``truth_table`` collects those blocks into one
+row dict and one int per cell.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .formula import (
     Operator,
     Path,
     Step,
-    atoms_of,
     subformulas,
 )
 from .parser import Dialect, render
@@ -74,11 +79,22 @@ def op_value(op: Operator, x: int, y: int) -> int:
     return TRUTH[op][(1 - x) * 2 + (1 - y)]
 
 
-def _apply(op: Operator, x: int, y: int, full: int) -> int:
-    """``op`` on two columns: the union of the input cases it maps to 1."""
-    t11, t10, t01, t00 = TRUTH[op]
-    nx, ny = full ^ x, full ^ y
-    return (t11 and x & y) | (t10 and x & ny) | (t01 and nx & y) | (t00 and nx & ny)
+# Each truth vector of TRUTH as bitwise operations on two columns ``x`` and
+# ``y`` of one block of rows, where ``full`` is the block's all-ones column.
+_BITWISE = {
+    (1, 1, 1, 0): lambda x, y, full: x | y,  # or
+    (1, 0, 0, 0): lambda x, y, full: x & y,  # and
+    (0, 0, 0, 1): lambda x, y, full: full ^ (x | y),  # nor
+    (0, 1, 1, 1): lambda x, y, full: full ^ (x & y),  # nand
+    (1, 0, 1, 1): lambda x, y, full: (full ^ x) | y,  # imp
+    (0, 1, 0, 0): lambda x, y, full: x & (full ^ y),  # nimp
+    (0, 1, 1, 0): lambda x, y, full: x ^ y,  # xor
+    (1, 0, 0, 1): lambda x, y, full: full ^ x ^ y,  # iff, xiff
+}
+
+# The kernel's connectives, read off TRUTH: an operator whose truth vector
+# has no bitwise form above fails here, at import.
+_APPLY = {op: _BITWISE[TRUTH[op]] for op in Operator}
 
 
 def _fill_columns(nodes: list[Formula], a: Assignment, full: int) -> dict[Formula, int]:
@@ -87,9 +103,9 @@ def _fill_columns(nodes: list[Formula], a: Assignment, full: int) -> dict[Formul
     the leftmost one first."""
     col: dict[Formula, int] = {}
     for node in nodes:
-        if isinstance(node, Bin):
-            col[node] = _apply(node.op, col[node.left], col[node.right], full)
-        elif isinstance(node, Not):
+        if type(node) is Bin:
+            col[node] = _APPLY[node.op](col[node.left], col[node.right], full)
+        elif type(node) is Not:
             col[node] = full ^ col[node.child]
         else:
             try:
@@ -115,6 +131,11 @@ def assignments(atoms: list[str]) -> Iterator[Assignment]:
     return (_row(atoms, i) for i in range(1 << len(atoms)))
 
 
+def _atom_names(nodes: list[Formula]) -> list[str]:
+    """``atoms_of(f)`` from ``subformulas(f)``, without a second walk."""
+    return [node.name for node in nodes if type(node) is Atom]
+
+
 def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
     """The table's rows in order, as blocks of (first row, atom columns, full).
 
@@ -136,11 +157,15 @@ def _blocks(atoms: list[str]) -> Iterator[tuple[int, Assignment, int]]:
     return map(block, range(0, 1 << len(atoms), 1 << low))
 
 
-def first_rows(f: Formula) -> Iterator[tuple[int, Assignment]]:
+def first_rows(
+    f: Formula, nodes: Optional[list[Formula]] = None
+) -> Iterator[tuple[int, Assignment]]:
     """(value, first row where ``f`` takes it) for each value ``f`` takes, in
-    table order, from one scan that stops once it has seen both values."""
-    nodes = subformulas(f)
-    atoms = [node.name for node in nodes if isinstance(node, Atom)]  # atoms_of, one walk
+    table order, from one scan that stops once it has seen both values.
+    ``nodes``, when given, is ``subformulas(f)``, so ``f`` is not walked."""
+    if nodes is None:
+        nodes = subformulas(f)
+    atoms = _atom_names(nodes)
     blocks = _blocks(atoms)  # too many atoms raise here, at the call
 
     def scan() -> Iterator[tuple[int, Assignment]]:
@@ -231,8 +256,8 @@ class TableScan:
 def table_blocks(f: Formula) -> TableScan:
     """The table of ``f`` a block of rows at a time; too many atoms raise
     TooManyAtoms at the call, before any block is made."""
-    atoms = atoms_of(f)
     nodes = subformulas(f)
+    atoms = _atom_names(nodes)
     header = list(_columns(f))
     paths = [path for path, _ in header]
 
@@ -291,8 +316,22 @@ def is_perpendicular(a: Formula, b: Formula) -> RelationVerdict:
     return RelationVerdict(witness is None, witness)
 
 
-def relate(a: Formula, b: Formula) -> tuple[RelationVerdict, RelationVerdict]:
-    """(is_parallel(a, b), is_perpendicular(a, b)) from one scan of a xor b."""
-    rows = dict(first_rows(Bin(Operator.XOR, a, b)))
+def relate(
+    a: Formula,
+    b: Formula,
+    na: Optional[list[Formula]] = None,
+    nb: Optional[list[Formula]] = None,
+) -> tuple[RelationVerdict, RelationVerdict]:
+    """(is_parallel(a, b), is_perpendicular(a, b)) from one scan of a xor b.
+
+    ``na`` and ``nb``, when given, are ``subformulas(a)`` and
+    ``subformulas(b)``, so neither operand is walked again.
+    """
+    f = Bin(Operator.XOR, a, b)
+    na = subformulas(a) if na is None else na
+    nb = subformulas(b) if nb is None else nb
+    # subformulas(f): both lists run children first and left first, so a's
+    # nodes, then b's nodes that a lacks, in b's order, then f
+    rows = dict(first_rows(f, [*dict.fromkeys(na + nb), f]))
     par, perp = rows.get(1), rows.get(0)
     return RelationVerdict(par is None, par), RelationVerdict(perp is None, perp)

@@ -110,14 +110,95 @@ def test_relate_warns_on_unusual_language_classes():
     assert "warning" in result.stderr
 
 
+def test_relate_warning_classes_each_side_on_its_own(capsys):
+    # b holds all of a, so the part of a xor b's node list after a lacks
+    # b's or; b still classes as mixed
+    assert cli.main(["relate", "p or q", "(p or q) nor r"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: relations are usually taken between a fundamental-only left side "
+        "and a negated-only right side; classes here are FO_ONLY / MIXED\n"
+    )
+
+
+# Every --json payload, byte for byte: stdout is json.dumps(payload, indent=2)
+# and a newline, with each non-ASCII character written as a \u escape.
+
+UPSILON_IN = "(p ↓ ¬(q ↓ r)) ⊕ (¬(p ↓ q) ↓ r)"
+UPSILON_OUT = "((p nor (q nor r)) xor ((p nor q) nor r))"
+ATOMS_PQR = ["p", "q", "r"]
+
+JSON_PAYLOADS = {
+    "parse": (
+        ["parse", "(p nand (q nor r))"],
+        {"formula": "(p nand (q nor r))", "language": "NFO_ONLY", "atoms": ATOMS_PQR},
+    ),
+    "parse-unicode": (
+        ["parse", "--unicode", "p nand !(q nor r)"],
+        {"formula": "(p ↑ ¬(q ↓ r))", "language": "NFO_ONLY", "atoms": ATOMS_PQR},
+    ),
+    "check-tautology": (["check", "p or !p"], {"formula": "(p or !p)", "verdict": "TAUTOLOGY"}),
+    "check-contingent-unicode": (
+        ["check", "--unicode", "p and !q"],
+        {
+            "formula": "(p ∧ ¬q)",
+            "verdict": "CONTINGENT",
+            "true_at": {"p": 1, "q": 0},
+            "false_at": {"p": 1, "q": 1},
+        },
+    ),
+    "relate-parallel": (
+        ["relate", "p or q", "!(p nor q)"],
+        {"parallel": True, "perpendicular": False, "perpendicular_witness": {"p": 1, "q": 1}},
+    ),
+    "relate-perpendicular": (
+        ["relate", "p or q", "p nor q"],
+        {"parallel": False, "perpendicular": True, "parallel_witness": {"p": 1, "q": 1}},
+    ),
+    "relate-neither": (
+        ["relate", "p and q", "p nor q"],
+        {
+            "parallel": False,
+            "perpendicular": False,
+            "parallel_witness": {"p": 1, "q": 1},
+            "perpendicular_witness": {"p": 1, "q": 0},
+        },
+    ),
+    "upsilon": (
+        ["transform", "upsilon", UPSILON_IN],
+        {"rule": "upsilon", "formula": UPSILON_OUT, "trace": {"removed_negations": ["LR", "RL"]}},
+    ),
+    "upsilon-unicode-nothing-removed": (
+        ["transform", "upsilon", "--unicode", "!(p or !q)"],
+        {"rule": "upsilon", "formula": "¬(p ∨ ¬q)", "trace": {"removed_negations": []}},
+    ),
+    "upsilon-inv": (
+        ["transform", "upsilon-inv", UPSILON_OUT, "-t", "{trace}"],
+        {"rule": "upsilon-inv", "formula": "((p nor !(q nor r)) xor (!(p nor q) nor r))"},
+    ),
+    "psi": (["transform", "psi", "(p nor q) xor r"], {"rule": "psi", "formula": "((p nor q) xiff r)"}),
+    "psi-inv": (
+        ["transform", "psi-inv", "(p nor q) xiff r"],
+        {"rule": "psi-inv", "formula": "((p nor q) xor r)"},
+    ),
+    "desugar": (["transform", "desugar", "p nand q"], {"rule": "desugar", "formula": "!(p and q)"}),
+}
+
+
+@pytest.mark.parametrize("argv, payload", JSON_PAYLOADS.values(), ids=JSON_PAYLOADS.keys())
+def test_json_output_is_indented_json_byte_for_byte(tmp_path, capsys, argv, payload):
+    trace = tmp_path / "t.json"
+    trace.write_text('{"removed_negations": ["LR", "RL"]}', encoding="utf-8")
+    assert cli.main([arg.format(trace=trace) for arg in argv] + ["--json"]) == 0
+    assert capsys.readouterr() == (json.dumps(payload, indent=2) + "\n", "")
+
+
 def test_transform_round_trip_through_trace_file(tmp_path):
     trace = tmp_path / "t.json"
     original = "(p ↓ ¬(q ↓ r)) ⊕ (¬(p ↓ q) ↓ r)"
     enc = run_cli("transform", "upsilon", original, "-t", str(trace), "--unicode")
     assert enc.returncode == 0
     assert enc.stdout.strip() == "((p ↓ (q ↓ r)) ⊕ ((p ↓ q) ↓ r))"
-    saved = json.loads(trace.read_text())
-    assert saved == {"removed_negations": ["LR", "RL"]}
+    assert trace.read_text() == json.dumps({"removed_negations": ["LR", "RL"]}, indent=2) + "\n"
     dec = run_cli(
         "transform", "upsilon-inv", enc.stdout.strip(), "-t", str(trace), "--unicode"
     )

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +22,15 @@ from plogic import (
     op_value,
     parse,
     render,
+    semantics,
     table_blocks,
     table_labels,
     truth_table,
 )
 from plogic.cli import main as cli_main
 from plogic.errors import MissingAtom, TooManyAtoms
-from plogic.formula import subformula_at
-from plogic.semantics import TRUTH, _blocks, assignments, first_row, first_rows
+from plogic.formula import subformula_at, subformulas
+from plogic.semantics import TRUTH, _APPLY, _blocks, assignments, first_row, first_rows, relate
 
 from oracle import TABLES, bit_columns, bit_eval, oracle_assignments, oracle_eval, random_formula
 from goldens import A_TEXTS, B_TEXTS, load_golden
@@ -52,6 +54,22 @@ class TestOperatorTables:
 
     def test_replacement_operator_matches_iff(self):
         assert TRUTH[Operator.UPDOWN] == TRUTH[Operator.IFF]
+
+    def test_kernel_table_spells_each_truth_vector(self):
+        # bits 3..0 of x, y run through the inputs (1,1), (1,0), (0,1), (0,0)
+        for op in Operator:
+            want = int("".join(map(str, TRUTH[op])), 2)
+            assert _APPLY[op](0b1100, 0b1010, 0b1111) == want, op
+
+    def test_kernel_table_agrees_with_op_value_on_whole_blocks(self):
+        rng = random.Random(4096)
+        full = (1 << 4096) - 1
+        x, y = rng.getrandbits(4096), rng.getrandbits(4096)
+        for op in Operator:
+            col = _APPLY[op](x, y, full)
+            assert 0 <= col <= full, op
+            bits = [(col >> k) & 1 for k in range(4096)]
+            assert bits == [op_value(op, (x >> k) & 1, (y >> k) & 1) for k in range(4096)], op
 
 
 class TestEvaluate:
@@ -217,6 +235,35 @@ class TestRelations:
         verdict = is_parallel(P, Q)
         assert not verdict.holds
         assert verdict.witness == {"p": 1, "q": 0}
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("p or q", "(p or q) nor r"),  # a inside b
+            ("(p and q) or !r", "p and q"),  # b inside a
+            ("p imp q", "p imp q"),  # a is b
+            ("(p or q) and !(r imp p)", "!(r imp p) nor (q nand (p or q))"),  # shared inner nodes
+            ("p and q", "r nor s"),  # disjoint
+        ],
+        ids=["a-in-b", "b-in-a", "same", "shared", "disjoint"],
+    )
+    def test_relate_scans_the_subformulas_of_a_xor_b(self, monkeypatch, a, b):
+        a, b = parse(a), parse(b)
+        scans = []
+        scan = semantics.first_rows
+
+        def recording(f, nodes=None):
+            scans.append((f, nodes))
+            return scan(f, nodes)
+
+        monkeypatch.setattr(semantics, "first_rows", recording)
+        xor = Bin(Operator.XOR, a, b)
+        want = (is_parallel(a, b), is_perpendicular(a, b))
+        assert relate(a, b) == want
+        assert relate(a, b, subformulas(a), subformulas(b)) == want
+        for f, nodes in scans[-2:]:
+            assert f is xor
+            assert nodes == subformulas(xor)
 
     def test_perpendicular_parallel_equivalences(self, rng):
         names = ["p", "q", "r", "s"]
