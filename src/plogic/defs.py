@@ -13,25 +13,31 @@ is an abbreviation, rewritten one step at a time by DEF proof lines:
     a xiff b  =  a iff b
 
 ``rewrite`` is the DEF rule: the prover writes, and the checker replays,
-every DEF line with it.
+every DEF line with it.  A FOLD reads the two operands at their first
+places in the definiens (read off ``definiens`` over two atoms at import),
+and accepts only if the definiens over them is the subformula itself:
+formulas are hash-consed, so identity is structural equality.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 
-from .formula import Atom, Bin, Formula, Not, Operator, Path, replace_at, subformula_at
+from .formula import Atom, Bin, Formula, Not, Operator, Path, map_at
 
-DEFINED_OPS = (
-    Operator.IMP,
-    Operator.AND,
-    Operator.IFF,
-    Operator.NOR,
-    Operator.NAND,
-    Operator.NIMP,
-    Operator.XOR,
-    Operator.UPDOWN,
-)
+# The definition table: each defined connective's definiens over (a, b).
+_DEFINIENS = {
+    Operator.IMP: lambda a, b: Bin(Operator.OR, Not(a), b),
+    Operator.AND: lambda a, b: Not(Bin(Operator.OR, Not(a), Not(b))),
+    Operator.IFF: lambda a, b: Bin(Operator.AND, Bin(Operator.IMP, a, b), Bin(Operator.IMP, b, a)),
+    Operator.NOR: lambda a, b: Not(Bin(Operator.OR, a, b)),
+    Operator.NAND: lambda a, b: Not(Bin(Operator.AND, a, b)),
+    Operator.NIMP: lambda a, b: Not(Bin(Operator.IMP, a, b)),
+    Operator.XOR: lambda a, b: Not(Bin(Operator.IFF, a, b)),
+    Operator.UPDOWN: lambda a, b: Bin(Operator.IFF, a, b),
+}
+DEFINED_OPS = tuple(_DEFINIENS)
 
 
 class Direction(enum.Enum):
@@ -41,67 +47,56 @@ class Direction(enum.Enum):
 
 def definiens(op: Operator, a: Formula, b: Formula) -> Formula:
     """Right-hand side of the definition of ``op`` applied to (a, b)."""
-    if op is Operator.IMP:
-        return Bin(Operator.OR, Not(a), b)
-    if op is Operator.AND:
-        return Not(Bin(Operator.OR, Not(a), Not(b)))
-    if op is Operator.IFF:
-        return Bin(Operator.AND, Bin(Operator.IMP, a, b), Bin(Operator.IMP, b, a))
-    if op is Operator.NOR:
-        return Not(Bin(Operator.OR, a, b))
-    if op is Operator.NAND:
-        return Not(Bin(Operator.AND, a, b))
-    if op is Operator.NIMP:
-        return Not(Bin(Operator.IMP, a, b))
-    if op is Operator.XOR:
-        return Not(Bin(Operator.IFF, a, b))
-    if op is Operator.UPDOWN:
-        return Bin(Operator.IFF, a, b)
-    raise ValueError(f"{op.value} is primitive, not defined")
+    build = _DEFINIENS.get(op)
+    if build is None:
+        raise ValueError(f"{op.value} is primitive, not defined")
+    return build(a, b)
 
 
-# Each definiens over two atoms, the operand stand-ins, as a pattern.
-_PATTERNS = {op: definiens(op, Atom("a"), Atom("b")) for op in DEFINED_OPS}
+def _operand_places(pattern: Formula) -> attrgetter:
+    """A getter of the nodes at the first places of the atoms a and b in
+    ``pattern``, each place spelled as dotted attributes."""
+    places, todo = {}, [(pattern, "")]
+    while todo:
+        node, place = todo.pop()
+        if isinstance(node, Atom):
+            places.setdefault(node.name, place[1:])
+        else:  # right before left, so that the left pops first
+            todo += [(getattr(node, k), f"{place}.{k}") for k in ("right", "left", "child") if hasattr(node, k)]
+    return attrgetter(places["a"], places["b"])
+
+
+_OPERANDS = {op: _operand_places(definiens(op, Atom("a"), Atom("b"))) for op in DEFINED_OPS}
 
 
 def match_definiens(op: Operator, f: Formula) -> tuple[Formula, Formula] | None:
-    """Recover (a, b) such that ``definiens(op, a, b) == f``, if possible.
-
-    The definiens of ``op`` over two atoms serves as the pattern; each
-    atom in it stands for an operand, bound on first sight.
-    """
-    if op not in _PATTERNS:
+    """Recover (a, b) such that ``definiens(op, a, b) is f``, if possible;
+    None for any ``f`` of another shape."""
+    operands = _OPERANDS.get(op)
+    if operands is None:
         raise ValueError(f"{op.value} is primitive, not defined")
-    bound: dict[str, Formula] = {}
-    todo = [(_PATTERNS[op], f)]
-    while todo:
-        pattern, node = todo.pop()
-        if isinstance(pattern, Atom):
-            if bound.setdefault(pattern.name, node) != node:
-                return None
-        elif isinstance(pattern, Not) and isinstance(node, Not):
-            todo.append((pattern.child, node.child))
-        elif isinstance(pattern, Bin) and isinstance(node, Bin) and node.op is pattern.op:
-            todo += [(pattern.right, node.right), (pattern.left, node.left)]
-        else:
-            return None
-    return bound["a"], bound["b"]
+    try:
+        a, b = operands(f)
+    except AttributeError:  # f has no node at one of the places
+        return None
+    return (a, b) if definiens(op, a, b) is f else None
 
 
 def rewrite(f: Formula, name: Operator, path: Path, direction: Direction) -> Formula:
     """``f`` after one definitional step on ``name`` at ``path``; raises
     ``ValueError`` if the step does not apply, ``PathError`` if ``path``
     selects nothing in ``f``."""
-    if name not in DEFINED_OPS:
+    if name not in _DEFINIENS:
         raise ValueError(f"{name.value} is primitive, not defined")
-    sub = subformula_at(f, path)
-    if direction is Direction.UNFOLD:
-        if not (isinstance(sub, Bin) and sub.op is name):
-            raise ValueError(f"subformula at path is not a {name.value} application")
-        new = definiens(name, sub.left, sub.right)
-    else:
+
+    def step(sub: Formula) -> Formula:
+        if direction is Direction.UNFOLD:
+            if not (isinstance(sub, Bin) and sub.op is name):
+                raise ValueError(f"subformula at path is not a {name.value} application")
+            return definiens(name, sub.left, sub.right)
         operands = match_definiens(name, sub)
         if operands is None:
             raise ValueError(f"subformula at path does not match the {name.value} definition")
-        new = Bin(name, *operands)
-    return replace_at(f, path, new)
+        return Bin(name, *operands)
+
+    return map_at(f, path, step)

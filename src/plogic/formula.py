@@ -13,6 +13,8 @@ formulas are the same object.  ``==`` and ``hash`` are therefore the
 identity ones, O(1) at any depth.  Nodes are immutable and the intern
 table is safe to use from several threads; a node that nothing refers
 to leaves the table.  All operations return new formulas.
+A ``Path`` names one occurrence of a subformula; ``map_at`` rebuilds a
+formula around a function of it in one walk, ``replace_at`` around a constant.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import enum
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Union
+from typing import Callable, Union
 
 from .errors import NoDual, PathError
 
@@ -299,21 +301,19 @@ def atoms_of(f: Formula) -> list[str]:
     return [node.name for node in subformulas(f) if isinstance(node, Atom)]
 
 
+_FIELD = {Step.LEFT: "left", Step.RIGHT: "right", Step.CHILD: "child"}
+
+
 def _trail(f: Formula, path: Path) -> list[Formula]:
     """The nodes ``path`` passes through from ``f``, its target last."""
     trail = [f]
     for i, step in enumerate(path):
-        node = trail[-1]
-        if step is Step.CHILD and isinstance(node, Not):
-            trail.append(node.child)
-        elif step is Step.LEFT and isinstance(node, Bin):
-            trail.append(node.left)
-        elif step is Step.RIGHT and isinstance(node, Bin):
-            trail.append(node.right)
-        else:
+        node = getattr(trail[-1], _FIELD[step], None)
+        if node is None:
             raise PathError(
                 f"step {step.value} not applicable at position {path_to_str(path[:i])!r}"
             )
+        trail.append(node)
     return trail
 
 
@@ -321,9 +321,13 @@ def subformula_at(f: Formula, path: Path) -> Formula:
     return _trail(f, path)[-1]
 
 
-def replace_at(f: Formula, path: Path, g: Formula) -> Formula:
-    """Functionally replace the subformula occurrence at ``path`` with ``g``."""
-    for step, node in zip(reversed(path), _trail(f, path)[-2::-1]):
+def map_at(f: Formula, path: Path, fn: Callable[[Formula], Formula]) -> Formula:
+    """``f`` with the subformula ``s`` at ``path`` replaced by ``fn(s)``: one
+    walk down ``path``, then back up it rebuilding each node passed.  Raises
+    ``PathError``, before ``fn`` is called, if ``path`` selects nothing."""
+    trail = _trail(f, path)
+    g = fn(trail[-1])
+    for step, node in zip(reversed(path), trail[-2::-1]):
         if step is Step.CHILD:
             g = Not(g)
         elif step is Step.LEFT:
@@ -331,3 +335,8 @@ def replace_at(f: Formula, path: Path, g: Formula) -> Formula:
         else:
             g = Bin(node.op, node.left, g)
     return g
+
+
+def replace_at(f: Formula, path: Path, g: Formula) -> Formula:
+    """Functionally replace the subformula occurrence at ``path`` with ``g``."""
+    return map_at(f, path, lambda _: g)

@@ -17,6 +17,8 @@ from typing import Mapping
 from ..errors import MissingMetavariable
 from ..formula import Bin, Formula, Not, Operator
 
+_IMP, _OR = Operator.IMP, Operator.OR
+
 SCHEMA_METAVARS: dict[int, tuple[str, ...]] = {
     1: ("A",),
     2: ("A", "B"),
@@ -31,18 +33,14 @@ def axiom_instance(schema: int, subst: Mapping[str, Formula]) -> Formula:
     for var in SCHEMA_METAVARS[schema]:
         if var not in subst:
             raise MissingMetavariable(var, schema)
-    a = subst.get("A")
-    b = subst.get("B")
-    c = subst.get("C")
-    imp = lambda x, y: Bin(Operator.IMP, x, y)
-    disj = lambda x, y: Bin(Operator.OR, x, y)
+    a, b, c = subst.get("A"), subst.get("B"), subst.get("C")
     if schema == 1:
-        return imp(disj(a, a), a)
+        return Bin(_IMP, Bin(_OR, a, a), a)
     if schema == 2:
-        return imp(a, disj(a, b))
+        return Bin(_IMP, a, Bin(_OR, a, b))
     if schema == 3:
-        return imp(disj(a, b), disj(b, a))
-    return imp(imp(b, c), imp(disj(a, b), disj(a, c)))
+        return Bin(_IMP, Bin(_OR, a, b), Bin(_OR, b, a))
+    return Bin(_IMP, Bin(_IMP, b, c), Bin(_IMP, Bin(_OR, a, b), Bin(_OR, a, c)))
 
 
 def major_parts(major: Formula) -> tuple[Formula, Formula] | None:

@@ -51,7 +51,6 @@ from ..formula import (
     Path,
     Step,
     atoms_of,
-    replace_at,
     subformulas,
 )
 from ..semantics import _fill_columns, assignments, first_row
@@ -679,21 +678,27 @@ def _clause_route(b: _Builder, f0: Formula) -> int | None:
 
 def _unfold_plan(f: Formula) -> tuple[Formula, list[tuple[Operator, Path]]]:
     """Rewrite ``f`` into the primitive not/or language, recording steps: a
-    preorder walk unfolds each defined connective where it meets one."""
+    preorder walk unfolds each defined connective where it meets one, and
+    an exit entry rebuilds each ``!``/``or`` over its operands' forms."""
     steps: list[tuple[Operator, Path]] = []
-    g = f
-    todo: list[tuple[Path, Formula]] = [((), f)]
+    done: list[Formula] = []  # the forms of the operands walked, in order
+    todo: list = [((), f)]
     while todo:
         path, node = todo.pop()
+        if path is None:  # an exit entry: node is Not or _disj
+            k = 1 if node is Not else 2
+            done[-k:] = [node(*done[-k:])]
+            continue
         while isinstance(node, Bin) and node.op is not _OR:
             steps.append((node.op, path))
             node = definiens(node.op, node.left, node.right)
-            g = replace_at(g, path, node)
-        if isinstance(node, Not):
-            todo.append((path + (Step.CHILD,), node.child))
-        elif isinstance(node, Bin):
-            todo += ((path + (Step.RIGHT,), node.right), (path + (Step.LEFT,), node.left))
-    return g, steps
+        if isinstance(node, Atom):
+            done.append(node)
+        elif isinstance(node, Not):
+            todo += ((None, Not), (path + (Step.CHILD,), node.child))
+        else:
+            todo += ((None, _disj), (path + (Step.RIGHT,), node.right), (path + (Step.LEFT,), node.left))
+    return done[0], steps
 
 
 def _prove(f: Formula, *methods) -> Proof:

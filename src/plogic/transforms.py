@@ -25,8 +25,7 @@ from .formula import (
     Operator,
     Path,
     Step,
-    replace_at,
-    subformula_at,
+    map_at,
     subformulas,
 )
 
@@ -64,7 +63,7 @@ def upsilon_encrypt(f: Formula) -> tuple[Formula, EncryptionTrace]:
             stack.append((node.left, path + (Step.LEFT,), host))
     out = f  # the removals in order, as upsilon_decrypt undoes them in reverse
     for path in removed:
-        out = replace_at(out, path, subformula_at(out, path).child)
+        out = map_at(out, path, lambda node: node.child)
     return out, EncryptionTrace(tuple(removed))
 
 
@@ -72,7 +71,7 @@ def upsilon_decrypt(f: Formula, trace: EncryptionTrace) -> Formula:
     """Reinsert the deleted negations; inverse of ``upsilon_encrypt``."""
     out = f
     for path in reversed(trace.removed_negations):
-        out = replace_at(out, path, Not(subformula_at(out, path)))
+        out = map_at(out, path, Not)
     return out
 
 

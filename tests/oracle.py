@@ -4,6 +4,8 @@ Everything here is written independently of the library internals: the
 connective tables are transcribed a second time as explicit dictionaries,
 evaluation is a textbook recursion over match statements, and the
 bit-column evaluator packs one truth-table column into a single int.
+The definitional equations are transcribed a second time as text, and
+matched by a recursion that compares subformulas by structure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import random
 
 from plogic.formula import Atom, Bin, Formula, Not, Operator
+from plogic.parser import parse
 
 TABLES = {
     "or": {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 0},
@@ -106,6 +109,55 @@ def bit_is_tautology(f: Formula) -> bool:
     names = oracle_atoms(f)
     mask = (1 << (2 ** len(names))) - 1
     return bit_eval(f, bit_columns(names), mask) == mask
+
+
+# --- definitional equations: each definiens over the operands a and b ---
+
+DEFINIENS_TEXTS = {
+    "imp": "!a or b",
+    "and": "!(!a or !b)",
+    "iff": "(a imp b) and (b imp a)",
+    "nor": "!(a or b)",
+    "nand": "!(a and b)",
+    "nimp": "!(a imp b)",
+    "xor": "!(a iff b)",
+    "xiff": "a iff b",
+}
+DEFINIENS_PATTERNS = {name: parse(text) for name, text in DEFINIENS_TEXTS.items()}
+
+
+def oracle_same(x: Formula, y: Formula) -> bool:
+    """Structural equality, node by node."""
+    match x, y:
+        case Atom(name=m), Atom(name=n):
+            return m == n
+        case Not(child=c), Not(child=d):
+            return oracle_same(c, d)
+        case Bin(op=o, left=l1, right=r1), Bin(op=p, left=l2, right=r2):
+            return o is p and oracle_same(l1, l2) and oracle_same(r1, r2)
+    return False
+
+
+def oracle_match_definiens(name: str, f: Formula) -> tuple[Formula, Formula] | None:
+    """(a, b) such that ``f`` is the definiens of the connective ``name``
+    over a and b, else None.  Each pattern atom binds on first sight, left
+    to right, and must be structurally equal to it at every later sight."""
+    bound: dict[str, Formula] = {}
+
+    def fits(pattern: Formula, node: Formula) -> bool:
+        match pattern, node:
+            case Atom(name=x), _:
+                if x in bound:
+                    return oracle_same(bound[x], node)
+                bound[x] = node
+                return True
+            case Not(child=p), Not(child=n):
+                return fits(p, n)
+            case Bin(op=o, left=pl, right=pr), Bin(op=p, left=nl, right=nr):
+                return o is p and fits(pl, nl) and fits(pr, nr)
+        return False
+
+    return (bound["a"], bound["b"]) if fits(DEFINIENS_PATTERNS[name], f) else None
 
 
 # --- random formula generation for corpora ---

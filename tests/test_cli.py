@@ -603,6 +603,32 @@ def test_verify_json_reports_each_rejection(
     assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
 
 
+# Each DEF rejection of entry 5 of the same proof, line 6, a FOLD of imp at
+# path L over line 5, ((!!p or (!p or p)) imp (!!p or (p or !p))).
+DEF_MUTANTS = [
+    ("fold-mismatch", ("lines", 5, "just", "name"), "NOR",
+     "subformula at path does not match the nor definition"),
+    ("unfold-wrong-connective", ("lines", 5, "just", "direction"), "UNFOLD",
+     "subformula at path is not a imp application"),
+    ("path-selects-nothing", ("lines", 5, "just", "path"), "LLL",
+     "path LLL not valid in line 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value, detail", [m[1:] for m in DEF_MUTANTS], ids=[m[0] for m in DEF_MUTANTS]
+)
+def test_verify_json_reports_each_def_rejection(
+    tmp_path, capsys, excluded_middle, keys, value, detail
+):
+    path = tmp_path / "p.json"
+    path.write_text(_edited_json(excluded_middle, keys, value), encoding="utf-8")
+    plain, machine = _verify_both_ways(path, capsys)
+    assert plain == (4, f"rejected at line 6: DefMismatch ({detail})\n", "")
+    expected = {"accepted": False, "line": 6, "reason": "DefMismatch", "detail": detail, "lines": 16}
+    assert machine == (4, json.dumps(expected, indent=2) + "\n", "")
+
+
 def test_verify_json_on_a_malformed_file_exits_2_with_one_line(tmp_path, capsys, excluded_middle):
     path = tmp_path / "p.json"
     path.write_text(_edited_json(excluded_middle, ("lines",), "x"), encoding="utf-8")

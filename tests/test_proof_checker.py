@@ -19,7 +19,14 @@ from plogic.proof import (
 )
 from plogic.proof import checker
 
-from oracle import oracle_assignments, oracle_atoms, oracle_is_tautology, random_formula
+from oracle import (
+    DEFINIENS_PATTERNS,
+    oracle_assignments,
+    oracle_atoms,
+    oracle_is_tautology,
+    oracle_match_definiens,
+    random_formula,
+)
 
 P, Q = Atom("p"), Atom("q")
 
@@ -73,6 +80,32 @@ class TestDefinitions:
         assert match_definiens(Operator.AND, parse("!(p or q)")) is None
         assert match_definiens(Operator.IFF, parse("(p imp q) and (p imp q)")) is None
 
+    def test_match_agrees_with_the_oracle_and_never_raises(self, rng):
+        """20,000 seeded formulas, each matched against every defined
+        connective: random formulas (atoms and negations among them), the
+        oracle's definiens patterns filled with operands, and near-misses
+        (one place filled with a third operand, or one node of the pattern
+        changed: operands swapped, another connective, a negation added or
+        dropped)."""
+        names = ["p", "q", "r"]
+        patterns = list(DEFINIENS_PATTERNS.values())
+        matched = 0
+        for i in range(20_000):
+            if i % 4 == 0:
+                f = random_formula(rng, names, rng.randrange(5))
+            else:
+                a, b, c = (random_formula(rng, names, 2) for _ in range(3))
+                pattern = rng.choice(patterns)
+                if i % 4 == 3:
+                    pattern = _mutate(pattern, rng)
+                stray = i % 4 == 2
+                f = _fill(pattern, lambda x: c if stray and rng.random() < 0.3 else {"a": a, "b": b}[x])
+            for op in DEFINED_OPS:
+                found = match_definiens(op, f)
+                assert found == oracle_match_definiens(op.value, f), (op, f)
+                matched += found is not None
+        assert matched > 5_000
+
     def test_single_rewrite_at_any_path_preserves_the_truth_table(self, rng):
         # one definitional step, anywhere in the tree, never changes semantics
         from plogic.formula import Step, replace_at, subformula_at
@@ -110,6 +143,32 @@ class TestDefinitions:
             assert rewrite(f, node.op, path, Direction.UNFOLD) == unfolded
             assert rewrite(unfolded, node.op, path, Direction.FOLD) == f
             done += 1
+
+
+def _fill(pattern, pick):
+    """``pattern`` with each atom occurrence x replaced by ``pick(x's name)``."""
+    if isinstance(pattern, Atom):
+        return pick(pattern.name)
+    if isinstance(pattern, Not):
+        return Not(_fill(pattern.child, pick))
+    return Bin(pattern.op, _fill(pattern.left, pick), _fill(pattern.right, pick))
+
+
+def _mutate(node, rng):
+    """``node`` with one of its nodes, chosen by ``rng``, changed."""
+    if isinstance(node, Bin) and rng.random() < 0.6:
+        if rng.random() < 0.5:
+            return Bin(node.op, _mutate(node.left, rng), node.right)
+        return Bin(node.op, node.left, _mutate(node.right, rng))
+    if isinstance(node, Not) and rng.random() < 0.6:
+        return Not(_mutate(node.child, rng))
+    changes = [Not(node)]
+    if isinstance(node, Not):
+        changes.append(node.child)
+    if isinstance(node, Bin):
+        changes.append(Bin(node.op, node.right, node.left))
+        changes.append(Bin(rng.choice([op for op in Operator if op is not node.op]), node.left, node.right))
+    return rng.choice(changes)
 
 
 def _line(i, text, just):

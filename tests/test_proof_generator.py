@@ -4,11 +4,12 @@ import random
 import pytest
 
 import plogic.proof.prover
-from plogic import Atom, Bin, Not, Operator, atoms_of, is_tautology, parse
+from plogic import Atom, Bin, Not, Operator, atoms_of, is_tautology, parse, subformulas
 from plogic.errors import NotATautology, ProofTooLarge, TooManyAtoms
 from plogic.proof import (
     AxiomJust,
     DefJust,
+    Direction,
     MPJust,
     check_proof,
     main_result_goals,
@@ -18,8 +19,9 @@ from plogic.proof import (
     prove_main_results,
     prove_tautology,
     regrouping_goals,
+    rewrite,
 )
-from plogic.proof.prover import _clause_route, _prove, _rewrite_route
+from plogic.proof.prover import _clause_route, _prove, _rewrite_route, _unfold_plan
 
 from oracle import bit_is_tautology, random_formula
 from goldens import B_TEXTS, M_TEXTS
@@ -481,8 +483,8 @@ def test_or_chains_take_the_clause_route(shape, place):
 @pytest.mark.parametrize("spelling", [s for s in OR_SPELLINGS if s != "or"])
 def test_clauses_spelled_with_defined_connectives_take_the_clause_route(spelling):
     """Every disjunction spelled with one connective, or (seeded) each with
-    one of them all, up to 25 operands: unfolding and folding back a comb of
-    defined connectives takes time quadratic in its depth.  For n <= 6 the
+    one of them all, up to 25 operands: folding back a comb of defined
+    connectives takes time quadratic in its depth.  For n <= 6 the
     oracle confirms that every line is a tautology."""
     rng = random.Random(spelling)
     join = OR_SPELLINGS[spelling]
@@ -499,6 +501,23 @@ def test_clauses_spelled_with_defined_connectives_take_the_clause_route(spelling
                 assert len(proof.lines) <= _clause_bound(n), (goal, len(proof.lines))
                 if n <= 6:
                     assert all(bit_is_tautology(line.formula) for line in proof.lines), goal
+
+
+def test_the_unfold_plan_rewrites_the_goal_into_its_primitive_form(rng):
+    """The plan's steps, applied in order by the DEF rule, give its f0, and
+    f0 holds only atoms, ! and or: on random formulas, and on a 100-operand
+    left comb whose 99 disjunctions are spelled !a nand !b, each unfolded
+    as nand and then as and."""
+    comb = _bracket(_clause_operands(100, "ends"), "left", OR_SPELLINGS["nand"])
+    goals = [random_formula(rng, ["p", "q", "r"], rng.randrange(7)) for _ in range(500)]
+    for goal in [*goals, comb]:
+        f0, steps = _unfold_plan(goal)
+        g = goal
+        for op, path in steps:
+            g = rewrite(g, op, path, Direction.UNFOLD)
+        assert g is f0
+        assert all(type(node) is not Bin or node.op is Operator.OR for node in subformulas(f0))
+    assert [op for op, _ in steps] == [Operator.NAND, Operator.AND] * 99
 
 
 @pytest.mark.parametrize("width", [11, 24])
