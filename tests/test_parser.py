@@ -2,7 +2,7 @@ import ast
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plogic import Atom, Bin, Dialect, Not, Operator, parse, render
 from plogic.errors import (
@@ -197,10 +197,12 @@ _SPACES = ["", " ", "  ", "\t", "\n", "\u3000"]
 
 @given(st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_PIECES)), max_size=12),
        st.sampled_from(_SPACES))
+@example([("", "("), ("", "p"), (" ", "p")], "")  # "expected ')' ..., found 'p'" quotes two
 def test_an_error_position_is_a_token_start_naming_its_spelling(pieces, tail):
     """A token starts where a piece starts (pieces the lexer joins, as
-    ``p`` and ``or``, start where the first does); a spelling the message
-    quotes is found at the position; unknown characters win over grammar."""
+    ``p`` and ``or``, start where the first does); the last spelling the
+    message quotes, the one it found, is at the position; unknown
+    characters win over grammar."""
     text, starts = "", set()
     for space, piece in pieces:
         text += space
@@ -224,9 +226,9 @@ def test_an_error_position_is_a_token_start_naming_its_spelling(pieces, tail):
         assert error.position is None and not text.strip()
         return
     assert error.position == len(text) or error.position in starts
-    quoted = re.search(r"'(.*)'", str(error))
+    quoted = re.findall(r"'[^']*'", str(error))
     if quoted and error.position < len(text):
-        assert text.startswith(ast.literal_eval(quoted[0]), error.position)
+        assert text.startswith(ast.literal_eval(quoted[-1]), error.position)
 
 
 def test_a_valid_parse_computes_no_position(monkeypatch):
